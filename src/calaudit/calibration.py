@@ -8,7 +8,7 @@ from typing import IO
 
 import numpy as np
 
-from .dataset import ScoreSet
+from .dataset import ScoreSet, _csv_stream
 
 EQUAL_WIDTH = "equal_width"
 EQUAL_COUNT = "equal_count"
@@ -183,15 +183,8 @@ def reliability_curve(scoreset: ScoreSet, binning: Binning) -> list[ReliabilityP
 
 
 def write_reliability_csv(points: list[ReliabilityPoint], dest: str | IO[str]) -> None:
-    if hasattr(dest, "write"):
-        _write_points(points, dest)
-        return
-    with open(dest, "w", newline="", encoding="utf-8") as fh:
-        _write_points(points, fh)
-
-
-def _write_points(points: list[ReliabilityPoint], fh: IO[str]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["bin_index", "mean_score", "positive_rate", "count"])
-    for p in points:
-        writer.writerow([p.bin_index, str(p.mean_score), str(p.positive_rate), p.count])
+    with _csv_stream(dest, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["bin_index", "mean_score", "positive_rate", "count"])
+        for p in points:
+            writer.writerow([p.bin_index, str(p.mean_score), str(p.positive_rate), p.count])

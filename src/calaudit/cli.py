@@ -13,7 +13,6 @@ from . import harness
 from .calibration import DEFAULT_CLIP_EPSILON, DEFAULT_N_BINS
 from .dataset import ScoreSetFormatError, load_scoreset
 from .harness import (
-    ALL_METRICS,
     AuditConfig,
     AuditRun,
     CALIBRATION_METRICS,
@@ -21,7 +20,6 @@ from .harness import (
     DEFAULT_SEED,
     DISCRIMINATION_METRICS,
     SWEEP_METRICS,
-    SweepRun,
 )
 from .synthetic import SyntheticScenario
 
@@ -30,18 +28,12 @@ class UsageError(ValueError):
     """Bad command-line arguments discovered after parsing."""
 
 
-def _parse_ratio_list(text: str) -> tuple[float, ...]:
+def _parse_number_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse ratio list {text!r}") from None
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"cannot parse number list {text!r}") from None
+        # argparse reports only this exception type's message to the user
+        raise argparse.ArgumentTypeError(f"cannot parse number list {text!r}") from None
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
@@ -120,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--ratios",
-        type=_parse_ratio_list,
+        type=_parse_number_list,
         default=DEFAULT_RATIOS,
         help="comma-separated sampling ratios in (0, 1], ascending (default 0.1..1.0)",
     )
@@ -132,17 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="sampling sweeps on synthetic populations with controlled de-calibration",
     )
     p_syn.add_argument(
-        "--alpha", required=True, type=_parse_float_list, help="comma-separated alphas"
+        "--alpha", required=True, type=_parse_number_list, help="comma-separated alphas"
     )
     p_syn.add_argument(
-        "--beta", required=True, type=_parse_float_list, help="comma-separated betas"
+        "--beta", required=True, type=_parse_number_list, help="comma-separated betas"
     )
     p_syn.add_argument("--runs", type=int, default=100, help="random splits per scenario")
     p_syn.add_argument(
         "--n", type=int, default=100_000, help="synthetic population size"
     )
     p_syn.add_argument(
-        "--ratios", type=_parse_ratio_list, default=DEFAULT_RATIOS, help="sampling ratios"
+        "--ratios", type=_parse_number_list, default=DEFAULT_RATIOS, help="sampling ratios"
     )
     p_syn.add_argument(
         "--output", required=True, help="output directory (per-scenario CSVs + summary.json)"
@@ -169,6 +161,17 @@ def _config_echo(args: argparse.Namespace) -> dict:
     }
 
 
+def _config(args: argparse.Namespace, **fields) -> AuditConfig:
+    return AuditConfig(
+        n_bins=args.bins,
+        clip_epsilon=args.epsilon,
+        threshold=args.threshold,
+        seed=args.seed,
+        quantile_rule=args.quantile_rule,
+        **fields,
+    )
+
+
 def _metric_block(subset, cfg: AuditConfig) -> dict:
     names = DISCRIMINATION_METRICS + CALIBRATION_METRICS
     values, errors = harness._metric_values(names, subset, None, cfg)
@@ -181,14 +184,8 @@ def _metric_block(subset, cfg: AuditConfig) -> dict:
 
 
 def cmd_metrics(args: argparse.Namespace) -> None:
+    cfg = _config(args)
     scoreset = load_scoreset(args.input)
-    cfg = AuditConfig(
-        n_bins=args.bins,
-        clip_epsilon=args.epsilon,
-        threshold=args.threshold,
-        seed=args.seed,
-        quantile_rule=args.quantile_rule,
-    )
     payload = {
         "command": "metrics",
         "input": str(args.input),
@@ -238,15 +235,8 @@ def _load_manifest(path: str) -> list[AuditRun]:
 
 
 def cmd_audit(args: argparse.Namespace) -> None:
+    cfg = _config(args)
     runs = _load_manifest(args.manifest)
-    cfg = AuditConfig(
-        metrics=ALL_METRICS,
-        n_bins=args.bins,
-        clip_epsilon=args.epsilon,
-        threshold=args.threshold,
-        seed=args.seed,
-        quantile_rule=args.quantile_rule,
-    )
     if args.size_matched:
         report = harness.run_size_matched_audit(runs, cfg)
     else:
@@ -256,25 +246,8 @@ def cmd_audit(args: argparse.Namespace) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
-    runs = _load_manifest(args.manifest)
-    cfg = AuditConfig(
-        metrics=SWEEP_METRICS,
-        n_bins=args.bins,
-        clip_epsilon=args.epsilon,
-        threshold=args.threshold,
-        seed=args.seed,
-        ratios=args.ratios,
-        quantile_rule=args.quantile_rule,
-    )
-
-    def _sweep_runs():
-        for run in runs:
-            _, platt_scores = harness._fit_run_calibrator(run, cfg)
-            yield SweepRun(
-                run_index=run.run_index, test=run.test, platt_scores=platt_scores
-            )
-
-    result = harness.run_sampling_sweep(_sweep_runs(), cfg)
+    cfg = _config(args, metrics=SWEEP_METRICS, ratios=args.ratios)
+    result = harness.run_sampling_sweep(_load_manifest(args.manifest), cfg)
     harness.write_sweep_csv(result, args.output)
     _write_json(result.to_dict(), Path(args.output).with_suffix(".json"))
 
@@ -290,15 +263,8 @@ def cmd_synthetic(args: argparse.Namespace) -> None:
         raise UsageError("--runs must be >= 1")
     if args.n < 2:
         raise UsageError("--n must be >= 2")
-    cfg = AuditConfig(
-        metrics=SWEEP_METRICS,
-        n_bins=args.bins,
-        clip_epsilon=args.epsilon,
-        threshold=args.threshold,
-        seed=args.seed,
-        ratios=args.ratios,
-        population_size=args.n,
-        quantile_rule=args.quantile_rule,
+    cfg = _config(
+        args, metrics=SWEEP_METRICS, ratios=args.ratios, population_size=args.n
     )
     results = harness.run_synthetic_experiment(scenarios, args.runs, cfg)
     out_dir = Path(args.output)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -130,6 +131,17 @@ class ScoreSet:
         return {str(t): int(c) for t, c in zip(tags, counts)}
 
 
+@contextmanager
+def _csv_stream(target: str | IO[str], mode: str) -> Iterator[IO[str]]:
+    """``target`` itself when it is already a text stream, else the file it names,
+    opened as the csv module expects and closed on exit."""
+    if hasattr(target, "read" if mode == "r" else "write"):
+        yield target
+        return
+    with open(target, mode, newline="", encoding="utf-8") as fh:
+        yield fh
+
+
 def load_scoreset(source: str | IO[str]) -> ScoreSet:
     """Parse a score CSV into a :class:`ScoreSet`.
 
@@ -143,9 +155,7 @@ def load_scoreset(source: str | IO[str]) -> ScoreSet:
         On a missing header/column, a score outside [0, 1], or a label other
         than 0/1; messages name the offending line (header is line 1).
     """
-    if hasattr(source, "read"):
-        return _parse_scores(source)
-    with open(source, newline="", encoding="utf-8") as fh:
+    with _csv_stream(source, "r") as fh:
         return _parse_scores(fh)
 
 
@@ -195,26 +205,19 @@ def _parse_scores(fh: IO[str]) -> ScoreSet:
 
 def write_scoreset_csv(scoreset: ScoreSet, dest: str | IO[str]) -> None:
     """Write the standard five-column score CSV."""
-    if hasattr(dest, "write"):
-        _write_scores(scoreset, dest)
-        return
-    with open(dest, "w", newline="", encoding="utf-8") as fh:
-        _write_scores(scoreset, fh)
-
-
-def _write_scores(scoreset: ScoreSet, fh: IO[str]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["sample_id", "patient_id", "score", "label", "group"])
-    for i in range(scoreset.n):
-        writer.writerow(
-            [
-                scoreset.sample_ids[i],
-                scoreset.patient_ids[i],
-                str(scoreset.scores[i]),
-                int(scoreset.labels[i]),
-                scoreset.groups[i],
-            ]
-        )
+    with _csv_stream(dest, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["sample_id", "patient_id", "score", "label", "group"])
+        for i in range(scoreset.n):
+            writer.writerow(
+                [
+                    scoreset.sample_ids[i],
+                    scoreset.patient_ids[i],
+                    str(scoreset.scores[i]),
+                    int(scoreset.labels[i]),
+                    scoreset.groups[i],
+                ]
+            )
 
 
 @dataclass(frozen=True)

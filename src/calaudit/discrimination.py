@@ -2,30 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import ScoreSet
 from .stats import midranks
-
-
-@dataclass(frozen=True)
-class DiscriminationResult:
-    auc_roc: float
-    auc_pr: float
-    auc_prg: float
-    balanced_accuracy: float
-    threshold: float
-
-    def to_dict(self) -> dict:
-        return {
-            "auc_roc": float(self.auc_roc),
-            "auc_pr": float(self.auc_pr),
-            "auc_prg": float(self.auc_prg),
-            "balanced_accuracy": float(self.balanced_accuracy),
-            "threshold": float(self.threshold),
-        }
 
 
 def _class_counts(scoreset: ScoreSet, op: str) -> tuple[int, int]:
@@ -85,15 +65,3 @@ def balanced_accuracy(scoreset: ScoreSet, threshold: float = 0.5) -> float:
     tnr = float((~predictions[scoreset.labels == 0]).mean())
     return 0.5 * (tpr + tnr)
 
-
-def evaluate_discrimination(
-    scoreset: ScoreSet, threshold: float = 0.5
-) -> DiscriminationResult:
-    """All four discrimination metrics at one threshold."""
-    return DiscriminationResult(
-        auc_roc=roc_auc(scoreset),
-        auc_pr=pr_auc(scoreset),
-        auc_prg=pr_auc_gain(scoreset),
-        balanced_accuracy=balanced_accuracy(scoreset, threshold),
-        threshold=float(threshold),
-    )

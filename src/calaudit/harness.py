@@ -12,6 +12,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -22,10 +23,11 @@ from .dataset import (
     DegenerateSampleError,
     ScoreSet,
     UNKNOWN_GROUP,
+    _csv_stream,
     _match_group_indices,
     subsample_indices,
 )
-from .platt import PlattParams, apply_platt, decompose_psr, fit_platt, to_llr
+from .platt import DecompositionResult, apply_platt, decompose_psr, fit_platt, to_llr
 from .stats import (
     BoxplotSummary,
     InsufficientPairsError,
@@ -90,6 +92,12 @@ class AuditConfig:
             raise ValueError("ratios must be sorted ascending")
         if self.n_bins < 1:
             raise ValueError("n_bins must be >= 1")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError("threshold must be a finite number in [0, 1]")
+        try:
+            np.quantile([0.0], 0.5, method=self.quantile_rule)
+        except ValueError as exc:
+            raise ValueError(f"quantile_rule: {exc}") from None
         if not 0.0 < self.clip_epsilon < 0.5:
             raise ValueError("clip_epsilon must lie in (0, 0.5)")
         if (self.majority is None) != (self.minority is None):
@@ -117,24 +125,6 @@ class AuditRun:
     def __post_init__(self) -> None:
         if self.run_index < 0:
             raise ValueError("run_index must be >= 0")
-
-
-@dataclass(frozen=True)
-class SweepRun:
-    """A test set for ratio sweeps, with optional aligned Platt-transformed scores."""
-
-    run_index: int
-    test: ScoreSet
-    platt_scores: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.run_index < 0:
-            raise ValueError("run_index must be >= 0")
-        if self.platt_scores is not None:
-            scores = np.asarray(self.platt_scores, dtype=np.float64).reshape(-1)
-            if scores.size != self.test.n:
-                raise ValueError("platt_scores must align with the test records")
-            object.__setattr__(self, "platt_scores", scores)
 
 
 @dataclass(frozen=True)
@@ -198,6 +188,44 @@ def _clean(value: float) -> float | None:
     return None if math.isnan(value) else float(value)
 
 
+@dataclass(frozen=True)
+class _Cell:
+    """One evaluated subset, with the binning and decomposition its metrics share."""
+
+    subset: ScoreSet
+    platt_scores: np.ndarray | None
+    cfg: AuditConfig
+
+    @cached_property
+    def equal_width(self) -> calibration.Binning:
+        return calibration.bin_scores(self.subset, calibration.EQUAL_WIDTH, self.cfg.n_bins)
+
+    @cached_property
+    def decomposition(self) -> DecompositionResult:
+        if self.platt_scores is None:
+            raise ValueError("delta metrics require Platt-transformed scores")
+        return decompose_psr(self.subset, self.platt_scores, self.cfg.clip_epsilon)
+
+
+# metric name -> value on a cell; functions are looked up on their modules at
+# call time so that wrappers installed there (the bench tracer) see every call
+_METRICS = {
+    "auc_roc": lambda c: discrimination.roc_auc(c.subset),
+    "auc_pr": lambda c: discrimination.pr_auc(c.subset),
+    "auc_prg": lambda c: discrimination.pr_auc_gain(c.subset),
+    "balanced_accuracy": lambda c: discrimination.balanced_accuracy(
+        c.subset, c.cfg.threshold
+    ),
+    "ece": lambda c: calibration.ece(c.subset, c.equal_width),
+    "mce": lambda c: calibration.mce(c.subset, c.equal_width),
+    "ada_ece": lambda c: calibration.ada_ece(c.subset, c.cfg.n_bins),
+    "cross_entropy": lambda c: calibration.cross_entropy(c.subset, c.cfg.clip_epsilon),
+    "brier": lambda c: calibration.brier(c.subset),
+    "delta_ce": lambda c: c.decomposition.delta_ce,
+    "delta_brier": lambda c: c.decomposition.delta_brier,
+}
+
+
 def _metric_values(
     names: Sequence[str],
     subset: ScoreSet,
@@ -205,61 +233,35 @@ def _metric_values(
     cfg: AuditConfig,
 ) -> tuple[dict[str, float], list[str]]:
     """Compute each metric independently; undefined ones come back as NaN with a message."""
+    cell = _Cell(subset, platt_scores, cfg)
     values: dict[str, float] = {}
     errors: list[str] = []
-    eq_width: calibration.Binning | None = None
-    decomposition = None
     for name in names:
         try:
-            if name in ("ece", "mce"):
-                if eq_width is None:
-                    eq_width = calibration.bin_scores(
-                        subset, calibration.EQUAL_WIDTH, cfg.n_bins
-                    )
-                value = (
-                    calibration.ece(subset, eq_width)
-                    if name == "ece"
-                    else calibration.mce(subset, eq_width)
-                )
-            elif name == "ada_ece":
-                value = calibration.ada_ece(subset, cfg.n_bins)
-            elif name == "cross_entropy":
-                value = calibration.cross_entropy(subset, cfg.clip_epsilon)
-            elif name == "brier":
-                value = calibration.brier(subset)
-            elif name == "auc_roc":
-                value = discrimination.roc_auc(subset)
-            elif name == "auc_pr":
-                value = discrimination.pr_auc(subset)
-            elif name == "auc_prg":
-                value = discrimination.pr_auc_gain(subset)
-            elif name == "balanced_accuracy":
-                value = discrimination.balanced_accuracy(subset, cfg.threshold)
-            elif name in DELTA_METRICS:
-                if platt_scores is None:
-                    raise ValueError("delta metrics require Platt-transformed scores")
-                if decomposition is None:
-                    decomposition = decompose_psr(subset, platt_scores, cfg.clip_epsilon)
-                value = (
-                    decomposition.delta_ce
-                    if name == "delta_ce"
-                    else decomposition.delta_brier
-                )
-            else:
-                raise ValueError(f"unknown metric {name!r}")
-            values[name] = float(value)
+            values[name] = float(_METRICS[name](cell))
         except ValueError as exc:
             values[name] = math.nan
             errors.append(f"{name}: {exc}")
     return values, errors
 
 
-def _fit_run_calibrator(run: AuditRun, cfg: AuditConfig) -> tuple[PlattParams, np.ndarray]:
-    params = fit_platt(
-        to_llr(run.validation.scores, cfg.clip_epsilon), run.validation.labels
-    )
+def _fit_run_calibrator(
+    run: AuditRun, cfg: AuditConfig, notes: list[str]
+) -> tuple[dict, np.ndarray | None]:
+    """Fit Platt scaling on the run's validation set and apply it to its test set.
+
+    Returns the run's ``platt`` provenance entry and the test set's Platt
+    scores. A fit that fails is noted and yields no scores, so only the run's
+    delta metrics go missing.
+    """
+    llr = to_llr(run.validation.scores, cfg.clip_epsilon)
+    try:
+        params = fit_platt(llr, run.validation.labels)
+    except ValueError as exc:
+        notes.append(f"run {run.run_index}: Platt fit failed: {exc}")
+        return {"run": run.run_index, "error": str(exc)}, None
     platt_scores = apply_platt(params, to_llr(run.test.scores, cfg.clip_epsilon))
-    return params, platt_scores
+    return {"run": run.run_index, **params.to_dict()}, platt_scores
 
 
 def _resolve_group_pair(runs: Sequence[AuditRun], cfg: AuditConfig) -> tuple[str, str]:
@@ -307,6 +309,97 @@ def _base_provenance(cfg: AuditConfig) -> dict:
     return {"config": asdict(cfg), "version": __version__}
 
 
+def _audit(
+    runs: Sequence[AuditRun], config: AuditConfig | None, kind: str
+) -> AuditReport:
+    """The body of both audits; ``kind`` picks the series and the arms.
+
+    The group audit's series are the two groups' test records, named after
+    their tags, and its one arm is the size-matched audit's naive arm.
+    """
+    cfg = config if config is not None else AuditConfig()
+    runs = list(runs)
+    if not runs:
+        raise ValueError("no runs supplied")
+    majority, minority = _resolve_group_pair(runs, cfg)
+    matched = kind == "size_matched"
+    # series name -> group tag whose test records it holds; None is the
+    # majority subsampled to the minority's size
+    if matched:
+        sources = {SERIES_MAJORITY: majority, SERIES_MINORITY: minority, SERIES_MATCHED: None}
+        arms = {
+            ARM_NAIVE: (SERIES_MAJORITY, SERIES_MINORITY),
+            ARM_SIZE_MATCHED: (SERIES_MATCHED, SERIES_MINORITY),
+            ARM_SIZE_EFFECT: (SERIES_MAJORITY, SERIES_MATCHED),
+        }
+        label = "series {}".format
+    else:
+        sources = {majority: majority, minority: minority}
+        arms = {"majority_vs_minority": (majority, minority)}
+        label = "group {!r}".format
+    series: dict = {m: {s: [] for s in sources} for m in cfg.metrics}
+    notes: list[str] = []
+    platt_diag: list[dict] = []
+    match_seeds: list[dict] = []
+    for run in runs:
+        diag, platt_scores = _fit_run_calibrator(run, cfg, notes)
+        platt_diag.append(diag)
+        matched_idx = None
+        if matched:
+            match_seed = [cfg.seed, _STREAM_MATCH, int(run.run_index)]
+            try:
+                matched_idx = _match_group_indices(run.test, majority, minority, match_seed)
+            except ValueError as exc:
+                for m in cfg.metrics:
+                    for s in sources:
+                        series[m][s].append(math.nan)
+                notes.append(f"run {run.run_index}: {exc}")
+                continue
+            match_seeds.append({"run": run.run_index, "seed": match_seed})
+        for s, tag in sources.items():
+            idx = matched_idx if tag is None else np.flatnonzero(run.test.groups == tag)
+            if idx.size == 0:
+                for m in cfg.metrics:
+                    series[m][s].append(math.nan)
+                notes.append(f"run {run.run_index}: {label(s)} absent from test set")
+                continue
+            values, errors = _metric_values(
+                cfg.metrics,
+                run.test.take(idx),
+                None if platt_scores is None else platt_scores[idx],
+                cfg,
+            )
+            for m in cfg.metrics:
+                series[m][s].append(values[m])
+            notes.extend(f"run {run.run_index} {label(s)} {e}" for e in errors)
+    tests = {
+        m: {
+            arm: _paired_test(series[m][a], series[m][b], m, arm, notes)
+            for arm, (a, b) in arms.items()
+        }
+        for m in cfg.metrics
+    }
+    summaries = {
+        m: {s: _summary_or_none(series[m][s], cfg) for s in sources} for m in cfg.metrics
+    }
+    provenance = _base_provenance(cfg)
+    provenance.update(
+        {"groups": {"majority": majority, "minority": minority}, "platt": platt_diag,
+         "notes": notes}
+    )
+    if matched:
+        provenance["match_seeds"] = match_seeds
+        provenance["arms"] = {arm: list(pair) for arm, pair in arms.items()}
+    return AuditReport(
+        kind=kind,
+        runs=tuple(r.run_index for r in runs),
+        series=series,
+        summaries=summaries,
+        tests=tests,
+        provenance=provenance,
+    )
+
+
 def run_group_audit(
     runs: Sequence[AuditRun], config: AuditConfig | None = None
 ) -> AuditReport:
@@ -318,54 +411,7 @@ def run_group_audit(
     paired Wilcoxon test across runs. Runs where a group is absent or a metric
     is undefined are recorded as missing and dropped from the pairing.
     """
-    cfg = config if config is not None else AuditConfig()
-    runs = list(runs)
-    if not runs:
-        raise ValueError("no runs supplied")
-    majority, minority = _resolve_group_pair(runs, cfg)
-    tags = (majority, minority)
-    series: dict = {m: {t: [] for t in tags} for m in cfg.metrics}
-    notes: list[str] = []
-    platt_diag: list[dict] = []
-    for run in runs:
-        params, platt_scores = _fit_run_calibrator(run, cfg)
-        platt_diag.append({"run": run.run_index, **params.to_dict()})
-        for tag in tags:
-            mask = run.test.groups == tag
-            if not mask.any():
-                for m in cfg.metrics:
-                    series[m][tag].append(math.nan)
-                notes.append(f"run {run.run_index}: group {tag!r} absent from test set")
-                continue
-            subset = run.test.take(np.flatnonzero(mask))
-            values, errors = _metric_values(cfg.metrics, subset, platt_scores[mask], cfg)
-            for m in cfg.metrics:
-                series[m][tag].append(values[m])
-            notes.extend(f"run {run.run_index} group {tag!r} {e}" for e in errors)
-    tests = {
-        m: {
-            "majority_vs_minority": _paired_test(
-                series[m][majority], series[m][minority], m, "majority_vs_minority", notes
-            )
-        }
-        for m in cfg.metrics
-    }
-    summaries = {
-        m: {t: _summary_or_none(series[m][t], cfg) for t in tags} for m in cfg.metrics
-    }
-    provenance = _base_provenance(cfg)
-    provenance.update(
-        {"groups": {"majority": majority, "minority": minority}, "platt": platt_diag,
-         "notes": notes}
-    )
-    return AuditReport(
-        kind="group",
-        runs=tuple(r.run_index for r in runs),
-        series=series,
-        summaries=summaries,
-        tests=tests,
-        provenance=provenance,
-    )
+    return _audit(runs, config, "group")
 
 
 def run_size_matched_audit(
@@ -378,83 +424,18 @@ def run_size_matched_audit(
     size_effect (majority vs its size-matched subsample, isolating the pure
     sample-size effect). Match seeds are recorded for exact replay.
     """
-    cfg = config if config is not None else AuditConfig()
-    runs = list(runs)
-    if not runs:
-        raise ValueError("no runs supplied")
-    majority, minority = _resolve_group_pair(runs, cfg)
-    labels = (SERIES_MAJORITY, SERIES_MINORITY, SERIES_MATCHED)
-    series: dict = {m: {s: [] for s in labels} for m in cfg.metrics}
-    notes: list[str] = []
-    platt_diag: list[dict] = []
-    match_seeds: list[dict] = []
-    for run in runs:
-        params, platt_scores = _fit_run_calibrator(run, cfg)
-        platt_diag.append({"run": run.run_index, **params.to_dict()})
-        match_seed = [cfg.seed, _STREAM_MATCH, int(run.run_index)]
-        try:
-            matched_idx = _match_group_indices(run.test, majority, minority, match_seed)
-        except ValueError as exc:
-            for m in cfg.metrics:
-                for s in labels:
-                    series[m][s].append(math.nan)
-            notes.append(f"run {run.run_index}: {exc}")
-            continue
-        match_seeds.append({"run": run.run_index, "seed": match_seed})
-        subsets = {
-            SERIES_MAJORITY: np.flatnonzero(run.test.groups == majority),
-            SERIES_MINORITY: np.flatnonzero(run.test.groups == minority),
-            SERIES_MATCHED: matched_idx,
-        }
-        for s, idx in subsets.items():
-            subset = run.test.take(idx)
-            values, errors = _metric_values(cfg.metrics, subset, platt_scores[idx], cfg)
-            for m in cfg.metrics:
-                series[m][s].append(values[m])
-            notes.extend(f"run {run.run_index} series {s} {e}" for e in errors)
-    arms = {
-        ARM_NAIVE: (SERIES_MAJORITY, SERIES_MINORITY),
-        ARM_SIZE_MATCHED: (SERIES_MATCHED, SERIES_MINORITY),
-        ARM_SIZE_EFFECT: (SERIES_MAJORITY, SERIES_MATCHED),
-    }
-    tests = {
-        m: {
-            arm: _paired_test(series[m][a], series[m][b], m, arm, notes)
-            for arm, (a, b) in arms.items()
-        }
-        for m in cfg.metrics
-    }
-    summaries = {
-        m: {s: _summary_or_none(series[m][s], cfg) for s in labels} for m in cfg.metrics
-    }
-    provenance = _base_provenance(cfg)
-    provenance.update(
-        {
-            "groups": {"majority": majority, "minority": minority},
-            "platt": platt_diag,
-            "match_seeds": match_seeds,
-            "arms": {arm: list(pair) for arm, pair in arms.items()},
-            "notes": notes,
-        }
-    )
-    return AuditReport(
-        kind="size_matched",
-        runs=tuple(r.run_index for r in runs),
-        series=series,
-        summaries=summaries,
-        tests=tests,
-        provenance=provenance,
-    )
+    return _audit(runs, config, "size_matched")
 
 
 def run_sampling_sweep(
-    runs: Iterable[SweepRun],
+    runs: Iterable[AuditRun],
     config: AuditConfig | None = None,
     provenance_extra: dict | None = None,
 ) -> SweepResult:
     """Metric values for every run at every sampling ratio.
 
-    Each (run, ratio) cell subsamples the run's test set without replacement
+    Each run first fits Platt scaling on its validation set, for the delta
+    metrics. Each (run, ratio) cell subsamples the run's test set without replacement
     with a seed derived from (seed, run, ratio position); degenerate draws are
     retried with fresh derived seeds up to the configured bound, then recorded
     as missing. The per-metric test compares the smallest against the largest
@@ -468,6 +449,7 @@ def run_sampling_sweep(
     notes: list[str] = []
     for run in runs:
         run_ids.append(run.run_index)
+        _, platt_scores = _fit_run_calibrator(run, cfg, notes)
         for ri, ratio in enumerate(ratios):
             idx = None
             for attempt in range(cfg.max_subsample_retries + 1):
@@ -487,11 +469,12 @@ def run_sampling_sweep(
                 )
                 cell = {m: math.nan for m in cfg.metrics}
             else:
-                subset = run.test.take(idx)
-                platt_sub = (
-                    run.platt_scores[idx] if run.platt_scores is not None else None
+                cell, errors = _metric_values(
+                    cfg.metrics,
+                    run.test.take(idx),
+                    None if platt_scores is None else platt_scores[idx],
+                    cfg,
                 )
-                cell, errors = _metric_values(cfg.metrics, subset, platt_sub, cfg)
                 notes.extend(
                     f"run {run.run_index} ratio {ratio:g} {e}" for e in errors
                 )
@@ -564,13 +547,11 @@ def run_synthetic_experiment(
             for r in range(n_runs):
                 rng = np.random.default_rng([cfg.seed, _STREAM_SPLIT, si, r])
                 perm = rng.permutation(population.n)
-                validation = scored.take(np.sort(perm[:n_val]))
-                test = scored.take(np.sort(perm[n_val : n_val + n_test]))
-                params = fit_platt(
-                    to_llr(validation.scores, cfg.clip_epsilon), validation.labels
+                yield AuditRun(
+                    run_index=r,
+                    validation=scored.take(np.sort(perm[:n_val])),
+                    test=scored.take(np.sort(perm[n_val : n_val + n_test])),
                 )
-                platt_scores = apply_platt(params, to_llr(test.scores, cfg.clip_epsilon))
-                yield SweepRun(run_index=r, test=test, platt_scores=platt_scores)
 
         results[scenario.name] = run_sampling_sweep(
             _split_runs(),
@@ -592,25 +573,18 @@ def write_sweep_csv(
     ``scenario`` prepends a constant scenario column so rows stay
     self-describing when several sweeps are concatenated.
     """
-    if hasattr(dest, "write"):
-        _write_sweep_rows(result, dest, scenario)
-        return
-    with open(dest, "w", newline="", encoding="utf-8") as fh:
-        _write_sweep_rows(result, fh, scenario)
-
-
-def _write_sweep_rows(result: SweepResult, fh: IO[str], scenario: str | None) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
     header = ["run", "ratio", "metric", "value"]
     prefix: list = []
     if scenario is not None:
         header = ["scenario"] + header
         prefix = [scenario]
-    writer.writerow(header)
-    for run, ratio, metric, value in result.rows:
-        writer.writerow(
-            prefix + [run, f"{ratio:g}", metric, "" if math.isnan(value) else str(value)]
-        )
+    with _csv_stream(dest, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for run, ratio, metric, value in result.rows:
+            writer.writerow(
+                prefix + [run, f"{ratio:g}", metric, "" if math.isnan(value) else str(value)]
+            )
 
 
 def write_audit_json(report: AuditReport, path: str) -> None:

@@ -9,7 +9,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .dataset import ScoreSet, Seed
+from .dataset import ScoreSet, Seed, _csv_stream
 
 _CF_MAX_ITERATIONS = 300
 _CF_EPS = 1e-15
@@ -196,28 +196,19 @@ def write_population_csv(
 ) -> None:
     """Standard score CSV plus a true_posterior column."""
     scoreset = apply_miscalibration(pop, scenario)
-    if hasattr(dest, "write"):
-        _write_population(pop, scoreset, dest)
-        return
-    with open(dest, "w", newline="", encoding="utf-8") as fh:
-        _write_population(pop, scoreset, fh)
-
-
-def _write_population(
-    pop: SyntheticPopulation, scoreset: ScoreSet, fh: IO[str]
-) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(
-        ["sample_id", "patient_id", "score", "label", "group", "true_posterior"]
-    )
-    for i in range(scoreset.n):
+    with _csv_stream(dest, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
-            [
-                scoreset.sample_ids[i],
-                scoreset.patient_ids[i],
-                str(scoreset.scores[i]),
-                int(scoreset.labels[i]),
-                scoreset.groups[i],
-                str(pop.true_posteriors[i]),
-            ]
+            ["sample_id", "patient_id", "score", "label", "group", "true_posterior"]
         )
+        for i in range(scoreset.n):
+            writer.writerow(
+                [
+                    scoreset.sample_ids[i],
+                    scoreset.patient_ids[i],
+                    str(scoreset.scores[i]),
+                    int(scoreset.labels[i]),
+                    scoreset.groups[i],
+                    str(pop.true_posteriors[i]),
+                ]
+            )

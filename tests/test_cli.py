@@ -137,6 +137,36 @@ class TestAuditCommand:
         main(["audit", "--manifest", manifest, "--output", str(out_b), "--seed", "77"])
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_single_class_validation_run_still_audited(self, tmp_path):
+        manifest = _manifest(tmp_path, n_runs=3, seed=6)
+        v = calibrated_scoreset(400, seed=1)
+        _write_csv(
+            tmp_path / "val1.csv",
+            ScoreSet(scores=v.scores, labels=np.ones(v.n, dtype=int)),
+        )
+        out = tmp_path / "report.json"
+        assert main(["audit", "--manifest", manifest, "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["provenance"]["platt"][1] == {
+            "run": 1,
+            "error": "fit_platt needs both label classes present",
+        }
+        assert payload["series"]["delta_ce"]["east"][1] is None
+        assert payload["series"]["ece"]["east"][1] is not None
+
+    def test_invalid_config_rejected_before_reading_files(self, tmp_path, capsys):
+        code = main(
+            [
+                "audit",
+                "--quantile-rule", "bogus",
+                "--manifest", str(tmp_path / "missing.csv"),
+                "--output", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "quantile_rule" in err and "missing.csv" not in err
+
     def test_manifest_errors_enumerated(self, tmp_path, capsys):
         manifest = tmp_path / "runs.csv"
         manifest.write_text("run_index,validation_csv_path\n0,x.csv\n")
@@ -219,6 +249,12 @@ class TestSyntheticCommand:
         )
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_unparsable_number_list_message(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--manifest", "m.csv", "--output", "o.csv", "--ratios", "1,x"])
+        assert excinfo.value.code == 2
+        assert "cannot parse number list '1,x'" in capsys.readouterr().err
 
     def test_unknown_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

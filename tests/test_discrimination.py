@@ -3,7 +3,6 @@ import pytest
 
 from calaudit import (
     balanced_accuracy,
-    evaluate_discrimination,
     pr_auc,
     pr_auc_gain,
     roc_auc,
@@ -144,19 +143,3 @@ class TestMonotoneInvariance:
         )
         assert balanced_accuracy(transformed, 0.5) == balanced_accuracy(s, 0.5)
 
-
-class TestEvaluateDiscrimination:
-    def test_bundles_all_four(self):
-        s = calibrated_scoreset(200, seed=2)
-        result = evaluate_discrimination(s, threshold=0.5)
-        assert result.auc_roc == roc_auc(s)
-        assert result.auc_pr == pr_auc(s)
-        assert result.auc_prg == pr_auc_gain(s)
-        assert result.balanced_accuracy == balanced_accuracy(s, 0.5)
-        assert result.threshold == 0.5
-
-    def test_prg_is_one_exactly_when_pr_is_one(self):
-        s = make_scoreset([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
-        result = evaluate_discrimination(s)
-        assert result.auc_pr == 1.0
-        assert result.auc_prg == 1.0

@@ -9,7 +9,6 @@ from calaudit import (
     AuditRun,
     ScoreSet,
     SWEEP_METRICS,
-    SweepRun,
     SyntheticScenario,
     apply_miscalibration,
     bin_scores,
@@ -74,6 +73,15 @@ class TestAuditConfig:
     def test_group_tags_must_pair(self):
         with pytest.raises(ValueError, match="both majority and minority"):
             AuditConfig(majority="a")
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.1, 1.5])
+    def test_threshold_must_be_finite_in_unit_interval(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            AuditConfig(threshold=threshold)
+
+    def test_unknown_quantile_rule_rejected(self):
+        with pytest.raises(ValueError, match="quantile_rule"):
+            AuditConfig(quantile_rule="bogus")
 
 
 class TestGroupAudit:
@@ -197,12 +205,63 @@ class TestSizeMatchedAudit:
             assert matched.size == (run.test.groups == "g_small").sum() == 50
 
 
+    def test_group_audit_is_the_naive_arm(self):
+        runs = _two_group_runs(305, n_runs=8, group_sizes=(500, 50))
+        cfg = AuditConfig(metrics=("ece", "auc_roc", "delta_brier"), seed=6)
+        group = run_group_audit(runs, cfg)
+        matched = run_size_matched_audit(runs, cfg)
+        for metric in cfg.metrics:
+            assert group.series[metric]["g_big"] == matched.series[metric]["majority"]
+            assert group.series[metric]["g_small"] == matched.series[metric]["minority"]
+            assert (
+                group.tests[metric]["majority_vs_minority"]
+                == matched.tests[metric]["naive"]
+            )
+
+
+FIT_FAILURE = "fit_platt needs both label classes present"
+
+
+def _runs_with_single_class_validation():
+    """Six runs; run 3's validation set holds negatives only, so its Platt fit fails."""
+    runs = _two_group_runs(104, n_runs=6, group_sizes=(400, 100))
+    v = runs[3].validation
+    runs[3] = AuditRun(
+        run_index=3,
+        validation=ScoreSet(scores=v.scores, labels=np.zeros(v.n, dtype=int)),
+        test=runs[3].test,
+    )
+    return runs
+
+
+class TestFailedPlattFit:
+    @pytest.mark.parametrize("audit", [run_group_audit, run_size_matched_audit])
+    def test_audit_records_the_failure_and_continues(self, audit):
+        cfg = AuditConfig(metrics=("ece", "brier", "delta_ce", "delta_brier"), seed=8)
+        report = audit(_runs_with_single_class_validation(), cfg)
+        assert report.provenance["platt"][3] == {"run": 3, "error": FIT_FAILURE}
+        assert report.provenance["platt"][2]["converged"]
+        assert f"run 3: Platt fit failed: {FIT_FAILURE}" in report.provenance["notes"]
+        for metric in cfg.metrics:
+            for values in report.series[metric].values():
+                missing = [r for r, v in enumerate(values) if math.isnan(v)]
+                assert missing == ([3] if metric.startswith("delta") else [])
+
+    def test_sweep_records_the_failure_and_continues(self):
+        cfg = AuditConfig(metrics=("ece", "delta_ce"), ratios=(0.5, 1.0), seed=8)
+        result = run_sampling_sweep(_runs_with_single_class_validation(), cfg)
+        assert result.runs == tuple(range(6))
+        for run, ratio, metric, value in result.rows:
+            assert math.isnan(value) == (run == 3 and metric == "delta_ce")
+        assert f"run 3: Platt fit failed: {FIT_FAILURE}" in result.provenance["notes"]
+
+
 class TestSamplingSweep:
     def test_long_form_shape(self):
-        runs = [
-            SweepRun(run_index=r, test=calibrated_scoreset(2000, seed=r))
-            for r in range(4)
-        ]
+        runs = []
+        for r in range(4):
+            s = calibrated_scoreset(2000, seed=r)
+            runs.append(AuditRun(run_index=r, validation=s, test=s))
         cfg = AuditConfig(metrics=("ece", "mce"), seed=0)
         result = run_sampling_sweep(runs, cfg)
         assert result.ratios == cfg.ratios
@@ -213,16 +272,16 @@ class TestSamplingSweep:
     def test_full_ratio_equals_direct_computation(self):
         s = calibrated_scoreset(3000, seed=5)
         cfg = AuditConfig(metrics=("ece",), ratios=(0.5, 1.0), seed=1)
-        result = run_sampling_sweep([SweepRun(run_index=0, test=s)], cfg)
+        result = run_sampling_sweep([AuditRun(run_index=0, validation=s, test=s)], cfg)
         direct = ece(s, bin_scores(s, n_bins=cfg.n_bins))
         full = [v for r, ratio, m, v in result.rows if ratio == 1.0]
         assert full == [direct]
 
     def test_mean_ece_decreases_with_ratio(self):
-        runs = [
-            SweepRun(run_index=r, test=calibrated_scoreset(4000, seed=100 + r))
-            for r in range(40)
-        ]
+        runs = []
+        for r in range(40):
+            s = calibrated_scoreset(4000, seed=100 + r)
+            runs.append(AuditRun(run_index=r, validation=s, test=s))
         cfg = AuditConfig(metrics=("ece",), seed=9)
         result = run_sampling_sweep(runs, cfg)
         means = [result.summaries["ece"][r].mean for r in cfg.ratios]
@@ -237,20 +296,25 @@ class TestSamplingSweep:
         cfg = AuditConfig(
             metrics=("ece",), ratios=(0.01, 1.0), max_subsample_retries=2, seed=12
         )
-        result = run_sampling_sweep([SweepRun(run_index=0, test=s)], cfg)
+        result = run_sampling_sweep([AuditRun(run_index=0, validation=s, test=s)], cfg)
         assert any("degenerate" in note for note in result.provenance["notes"])
         missing = [v for r, ratio, m, v in result.rows if ratio == 0.01]
         assert len(missing) == 1 and math.isnan(missing[0])
 
     def test_delta_metrics_need_platt_scores(self):
         s = calibrated_scoreset(500, seed=6)
+        # one class in the validation set: no Platt fit, so no Platt scores
+        validation = ScoreSet(scores=s.scores, labels=np.zeros(s.n, dtype=int))
         cfg = AuditConfig(metrics=("delta_ce",), ratios=(1.0,), seed=0)
-        result = run_sampling_sweep([SweepRun(run_index=0, test=s)], cfg)
+        result = run_sampling_sweep(
+            [AuditRun(run_index=0, validation=validation, test=s)], cfg
+        )
         assert math.isnan(result.rows[0][3])
         assert any("Platt" in note for note in result.provenance["notes"])
 
     def test_csv_export_schema(self):
-        runs = [SweepRun(run_index=0, test=calibrated_scoreset(500, seed=1))]
+        s = calibrated_scoreset(500, seed=1)
+        runs = [AuditRun(run_index=0, validation=s, test=s)]
         cfg = AuditConfig(metrics=("ece",), ratios=(0.5, 1.0), seed=2)
         result = run_sampling_sweep(runs, cfg)
         buffer = io.StringIO()
