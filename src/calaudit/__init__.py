@@ -27,12 +27,9 @@ from .dataset import (
     DegenerateSampleError,
     ScoreSet,
     ScoreSetFormatError,
-    SplitAssignment,
     UNKNOWN_GROUP,
     load_scoreset,
     match_group_size,
-    role_subset,
-    stratified_double_kfold,
     subsample,
     subsample_indices,
     write_scoreset_csv,
@@ -95,14 +92,11 @@ __all__ = [
     "__version__",
     # dataset
     "ScoreSet",
-    "SplitAssignment",
     "ScoreSetFormatError",
     "DegenerateSampleError",
     "UNKNOWN_GROUP",
     "load_scoreset",
     "write_scoreset_csv",
-    "stratified_double_kfold",
-    "role_subset",
     "subsample",
     "subsample_indices",
     "match_group_size",

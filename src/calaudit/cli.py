@@ -151,13 +151,14 @@ def _write_json(payload: dict, path: str | Path) -> None:
         fh.write("\n")
 
 
-def _config_echo(args: argparse.Namespace) -> dict:
+def _config_echo(cfg: AuditConfig) -> dict:
+    """The estimator settings a run used, as echoed into its JSON output."""
     return {
-        "n_bins": args.bins,
-        "clip_epsilon": args.epsilon,
-        "threshold": args.threshold,
-        "seed": args.seed,
-        "quantile_rule": args.quantile_rule,
+        "n_bins": cfg.n_bins,
+        "clip_epsilon": cfg.clip_epsilon,
+        "threshold": cfg.threshold,
+        "seed": cfg.seed,
+        "quantile_rule": cfg.quantile_rule,
     }
 
 
@@ -189,7 +190,7 @@ def cmd_metrics(args: argparse.Namespace) -> None:
     payload = {
         "command": "metrics",
         "input": str(args.input),
-        "config": _config_echo(args),
+        "config": _config_echo(cfg),
         "overall": _metric_block(scoreset, cfg),
     }
     if args.by_group:
@@ -271,8 +272,8 @@ def cmd_synthetic(args: argparse.Namespace) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
         "command": "synthetic",
-        "config": {**_config_echo(args), "runs": args.runs, "n": args.n,
-                   "ratios": list(args.ratios)},
+        "config": {**_config_echo(cfg), "runs": args.runs, "n": cfg.population_size,
+                   "ratios": list(cfg.ratios)},
         "scenarios": {},
     }
     for name, result in results.items():

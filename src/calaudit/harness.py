@@ -102,6 +102,10 @@ class AuditConfig:
             raise ValueError("clip_epsilon must lie in (0, 0.5)")
         if (self.majority is None) != (self.minority is None):
             raise ValueError("set both majority and minority tags, or neither")
+        if self.majority is not None and self.majority == self.minority:
+            raise ValueError(
+                f"majority and minority must be different tags (both {self.majority!r})"
+            )
         if not (
             0.0 < self.validation_fraction
             and 0.0 < self.test_fraction
@@ -251,8 +255,8 @@ def _fit_run_calibrator(
     """Fit Platt scaling on the run's validation set and apply it to its test set.
 
     Returns the run's ``platt`` provenance entry and the test set's Platt
-    scores. A fit that fails is noted and yields no scores, so only the run's
-    delta metrics go missing.
+    scores. A fit that fails or does not converge (separable validation data)
+    is noted and yields no scores, so only the run's delta metrics go missing.
     """
     llr = to_llr(run.validation.scores, cfg.clip_epsilon)
     try:
@@ -260,8 +264,11 @@ def _fit_run_calibrator(
     except ValueError as exc:
         notes.append(f"run {run.run_index}: Platt fit failed: {exc}")
         return {"run": run.run_index, "error": str(exc)}, None
-    platt_scores = apply_platt(params, to_llr(run.test.scores, cfg.clip_epsilon))
-    return {"run": run.run_index, **params.to_dict()}, platt_scores
+    diag = {"run": run.run_index, **params.to_dict()}
+    if not params.converged:
+        notes.append(f"run {run.run_index}: Platt fit did not converge")
+        return diag, None
+    return diag, apply_platt(params, to_llr(run.test.scores, cfg.clip_epsilon))
 
 
 def _resolve_group_pair(runs: Sequence[AuditRun], cfg: AuditConfig) -> tuple[str, str]:

@@ -198,14 +198,11 @@ def write_population_csv(
     scoreset = apply_miscalibration(pop, scenario)
     with _csv_stream(dest, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["sample_id", "patient_id", "score", "label", "group", "true_posterior"]
-        )
+        writer.writerow(["sample_id", "score", "label", "group", "true_posterior"])
         for i in range(scoreset.n):
             writer.writerow(
                 [
                     scoreset.sample_ids[i],
-                    scoreset.patient_ids[i],
                     str(scoreset.scores[i]),
                     int(scoreset.labels[i]),
                     scoreset.groups[i],

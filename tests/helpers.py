@@ -7,12 +7,11 @@ import numpy as np
 from calaudit import ScoreSet
 
 
-def make_scoreset(scores, labels, groups=None, patient_ids=None) -> ScoreSet:
+def make_scoreset(scores, labels, groups=None) -> ScoreSet:
     return ScoreSet(
         scores=np.asarray(scores, dtype=float),
         labels=np.asarray(labels, dtype=int),
         groups=None if groups is None else np.asarray(groups, dtype=str),
-        patient_ids=None if patient_ids is None else np.asarray(patient_ids, dtype=str),
     )
 
 

@@ -10,12 +10,9 @@ from calaudit import (
     UNKNOWN_GROUP,
     load_scoreset,
     match_group_size,
-    role_subset,
-    stratified_double_kfold,
     subsample,
     write_scoreset_csv,
 )
-from calaudit.dataset import ROLE_TEST, ROLE_TRAIN, ROLE_VALIDATION
 
 from helpers import calibrated_scoreset, make_scoreset
 
@@ -87,9 +84,14 @@ class TestLoadScoreset:
         with pytest.raises(ScoreSetFormatError, match="label"):
             load_scoreset(io.StringIO("score\n0.2\n"))
 
-    def test_patient_id_defaults_to_sample_id(self):
-        s = load_scoreset(io.StringIO("sample_id,score,label\nx1,0.2,0\n"))
-        assert s.patient_ids[0] == "x1"
+    def test_patient_id_column_is_ignored(self):
+        plain = "sample_id,score,label,group\nx1,0.2,0,a\nx2,0.9,1,b\n"
+        extra = "sample_id,patient_id,score,label,group\nx1,p1,0.2,0,a\nx2,p1,0.9,1,b\n"
+        s = load_scoreset(io.StringIO(extra))
+        expected = load_scoreset(io.StringIO(plain))
+        for name in ("scores", "labels", "groups", "sample_ids"):
+            np.testing.assert_array_equal(getattr(s, name), getattr(expected, name))
+        np.testing.assert_array_equal(s.sample_ids, ["x1", "x2"])
 
     def test_round_trip(self):
         s = make_scoreset([0.25, 0.75], [0, 1], groups=["a", "b"])
@@ -100,88 +102,7 @@ class TestLoadScoreset:
         np.testing.assert_array_equal(again.scores, s.scores)
         np.testing.assert_array_equal(again.labels, s.labels)
         np.testing.assert_array_equal(again.groups, s.groups)
-
-
-def _patients_scoreset(n_patients, labels_by_patient, groups_by_patient=None, seed=0):
-    rng = np.random.default_rng(seed)
-    patient_ids = [f"p{i}" for i in range(n_patients)]
-    groups = groups_by_patient or [UNKNOWN_GROUP] * n_patients
-    return make_scoreset(
-        rng.random(n_patients),
-        labels_by_patient,
-        groups=groups,
-        patient_ids=patient_ids,
-    )
-
-
-class TestStratifiedDoubleKfold:
-    def test_five_by_five_yields_25_runs(self):
-        s = _patients_scoreset(60, [i % 2 for i in range(60)])
-        assignments = stratified_double_kfold(s, 5, 5, seed=3)
-        assert len(assignments) == 25
-        assert [a.run_index for a in assignments] == list(range(25))
-
-    def test_two_by_two_balances_test_folds(self):
-        s = _patients_scoreset(8, [0, 0, 0, 0, 1, 1, 1, 1])
-        for a in stratified_double_kfold(s, 2, 2, seed=9):
-            test_labels = s.labels[a.indices(ROLE_TEST)]
-            assert test_labels.sum() == 2
-            assert (test_labels == 0).sum() == 2
-
-    def test_deterministic_given_seed(self):
-        s = _patients_scoreset(40, [i % 2 for i in range(40)])
-        first = stratified_double_kfold(s, 4, 3, seed=7)
-        second = stratified_double_kfold(s, 4, 3, seed=7)
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a.roles, b.roles)
-
-    def test_roles_partition_every_record(self):
-        s = _patients_scoreset(30, [i % 2 for i in range(30)])
-        for a in stratified_double_kfold(s, 3, 2, seed=1):
-            n_test = a.indices(ROLE_TEST).size
-            n_val = a.indices(ROLE_VALIDATION).size
-            n_train = a.indices(ROLE_TRAIN).size
-            assert n_test + n_val + n_train == s.n
-
-    def test_patient_level_split(self):
-        # two records per patient must always share a role
-        labels = [i % 2 for i in range(20)]
-        patient_ids = [f"p{i}" for i in range(20)] * 2
-        s = make_scoreset(
-            np.linspace(0.1, 0.9, 40), labels * 2, patient_ids=patient_ids
-        )
-        for a in stratified_double_kfold(s, 2, 2, seed=5):
-            for pid in set(patient_ids):
-                roles = {str(r) for r in a.roles[s.patient_ids == pid]}
-                assert len(roles) == 1
-
-    def test_stratum_counts_within_one_per_fold(self):
-        rng = np.random.default_rng(0)
-        labels = rng.integers(0, 2, 90)
-        groups = rng.choice(["a", "b"], 90)
-        s = _patients_scoreset(90, labels, groups_by_patient=list(groups))
-        k_outer = 3
-        assignments = stratified_double_kfold(s, k_outer, 2, seed=2)
-        for stratum_label in (0, 1):
-            for stratum_group in ("a", "b"):
-                members = (s.labels == stratum_label) & (s.groups == stratum_group)
-                ideal = members.sum() / k_outer
-                for a in assignments:
-                    in_test = members & (a.roles == ROLE_TEST)
-                    assert abs(in_test.sum() - ideal) <= 1
-
-    def test_small_stratum_is_named(self):
-        s = _patients_scoreset(9, [0] * 8 + [1])
-        with pytest.raises(ValueError, match="label=1"):
-            stratified_double_kfold(s, 2, 2, seed=0)
-
-    def test_role_subset_drop_unknown(self):
-        labels = [i % 2 for i in range(24)]
-        groups = (["a", "b", UNKNOWN_GROUP] * 8)[:24]
-        s = _patients_scoreset(24, labels, groups_by_patient=groups)
-        a = stratified_double_kfold(s, 2, 2, seed=0)[0]
-        kept = role_subset(s, a, ROLE_TEST, drop_unknown_group=True)
-        assert UNKNOWN_GROUP not in set(kept.groups)
+        np.testing.assert_array_equal(again.sample_ids, s.sample_ids)
 
 
 class TestSubsample:

@@ -83,6 +83,10 @@ class TestAuditConfig:
         with pytest.raises(ValueError, match="quantile_rule"):
             AuditConfig(quantile_rule="bogus")
 
+    def test_majority_must_differ_from_minority(self):
+        with pytest.raises(ValueError, match="majority and minority.*'a'"):
+            AuditConfig(majority="a", minority="a")
+
 
 class TestGroupAudit:
     def test_paired_series_and_one_test_per_metric(self):
@@ -254,6 +258,32 @@ class TestFailedPlattFit:
         for run, ratio, metric, value in result.rows:
             assert math.isnan(value) == (run == 3 and metric == "delta_ce")
         assert f"run 3: Platt fit failed: {FIT_FAILURE}" in result.provenance["notes"]
+
+
+def test_non_converged_platt_fit_leaves_only_its_deltas_missing():
+    # run 2's validation set is separable: 0.2 for every negative, 0.8 for every positive
+    runs = _two_group_runs(106, n_runs=5, group_sizes=(400, 100))
+    v = runs[2].validation
+    runs[2] = AuditRun(
+        run_index=2,
+        validation=ScoreSet(scores=np.where(v.labels == 1, 0.8, 0.2), labels=v.labels),
+        test=runs[2].test,
+    )
+    note = "run 2: Platt fit did not converge"
+    cfg = AuditConfig(metrics=("ece", "delta_ce", "delta_brier"), ratios=(0.5, 1.0), seed=8)
+    for audit in (run_group_audit, run_size_matched_audit):
+        report = audit(runs, cfg)
+        assert not report.provenance["platt"][2]["converged"]
+        assert "a" in report.provenance["platt"][2]
+        assert note in report.provenance["notes"]
+        for metric in cfg.metrics:
+            for values in report.series[metric].values():
+                missing = [r for r, v in enumerate(values) if math.isnan(v)]
+                assert missing == ([2] if metric.startswith("delta") else [])
+    result = run_sampling_sweep(runs, cfg)
+    assert note in result.provenance["notes"]
+    for run, ratio, metric, value in result.rows:
+        assert math.isnan(value) == (run == 2 and metric.startswith("delta"))
 
 
 class TestSamplingSweep:

@@ -156,7 +156,7 @@ class TestPopulationCsv:
         buffer = io.StringIO()
         write_population_csv(population, scenario, buffer)
         header = buffer.getvalue().splitlines()[0]
-        assert header == "sample_id,patient_id,score,label,group,true_posterior"
+        assert header == "sample_id,score,label,group,true_posterior"
         buffer.seek(0)
         reloaded = load_scoreset(buffer)  # extra column ignored
         assert reloaded.n == 50
