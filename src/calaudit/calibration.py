@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
-from .dataset import ScoreSet, _csv_stream
+from .dataset import ScoreSet, _write_csv
 
 EQUAL_WIDTH = "equal_width"
 EQUAL_COUNT = "equal_count"
@@ -183,8 +182,8 @@ def reliability_curve(scoreset: ScoreSet, binning: Binning) -> list[ReliabilityP
 
 
 def write_reliability_csv(points: list[ReliabilityPoint], dest: str | IO[str]) -> None:
-    with _csv_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_index", "mean_score", "positive_rate", "count"])
-        for p in points:
-            writer.writerow([p.bin_index, str(p.mean_score), str(p.positive_rate), p.count])
+    _write_csv(
+        dest,
+        ("bin_index", "mean_score", "positive_rate", "count"),
+        ([p.bin_index, str(p.mean_score), str(p.positive_rate), p.count] for p in points),
+    )

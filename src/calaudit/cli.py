@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
-import math
 import sys
 from pathlib import Path
 
 from . import harness
 from .calibration import DEFAULT_CLIP_EPSILON, DEFAULT_N_BINS
-from .dataset import ScoreSetFormatError, load_scoreset
+from .dataset import ScoreSetFormatError, _write_json, load_scoreset
 from .harness import (
     AuditConfig,
     AuditRun,
@@ -145,12 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_json(payload: dict, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-
 def _config_echo(cfg: AuditConfig) -> dict:
     """The estimator settings a run used, as echoed into its JSON output."""
     return {
@@ -179,7 +171,7 @@ def _metric_block(subset, cfg: AuditConfig) -> dict:
     return {
         "n": subset.n,
         "prevalence": subset.prevalence,
-        "metrics": {m: (None if math.isnan(v) else v) for m, v in values.items()},
+        "metrics": {m: harness._clean(v) for m, v in values.items()},
         "errors": dict(e.split(": ", 1) for e in errors),
     }
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Iterator, Sequence
+from pathlib import Path
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -124,6 +126,24 @@ def _csv_stream(target: str | IO[str], mode: str) -> Iterator[IO[str]]:
         yield fh
 
 
+def _write_csv(
+    dest: str | Path | IO[str], header: Sequence, rows: Iterable[Sequence]
+) -> None:
+    """Write every calaudit CSV: a header row, then ``rows``; LF line ends, UTF-8."""
+    with _csv_stream(dest, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(payload: dict, path: str | Path) -> None:
+    """Write every calaudit JSON document: 2-space indent, sorted keys, no NaN
+    (missing values must already be ``None``), trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 def load_scoreset(source: str | IO[str]) -> ScoreSet:
     """Parse a score CSV into a :class:`ScoreSet`.
 
@@ -181,20 +201,17 @@ def _parse_scores(fh: IO[str]) -> ScoreSet:
     )
 
 
+_SCORE_COLUMNS = ("sample_id", "score", "label", "group")
+
+
+def _score_rows(s: ScoreSet) -> Iterator[list]:
+    for i in range(s.n):
+        yield [s.sample_ids[i], str(s.scores[i]), int(s.labels[i]), s.groups[i]]
+
+
 def write_scoreset_csv(scoreset: ScoreSet, dest: str | IO[str]) -> None:
     """Write the standard four-column score CSV."""
-    with _csv_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "score", "label", "group"])
-        for i in range(scoreset.n):
-            writer.writerow(
-                [
-                    scoreset.sample_ids[i],
-                    str(scoreset.scores[i]),
-                    int(scoreset.labels[i]),
-                    scoreset.groups[i],
-                ]
-            )
+    _write_csv(dest, _SCORE_COLUMNS, _score_rows(scoreset))
 
 
 def subsample_indices(labels: np.ndarray, fraction: float, seed: Seed) -> np.ndarray:

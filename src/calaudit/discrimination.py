@@ -50,7 +50,12 @@ def pr_auc(scoreset: ScoreSet) -> float:
 
 
 def pr_auc_gain(scoreset: ScoreSet) -> float:
-    """PR area rescaled against the random-guess baseline: (AP - pi) / (1 - pi)."""
+    """PR area rescaled against the random-guess baseline: (AP - pi) / (1 - pi).
+
+    This is normalized average precision, reported under the output key
+    ``auc_prg``; it is not the precision-recall-gain area of Flach & Kull
+    (NeurIPS 2015). The key keeps its name so existing outputs stay comparable.
+    """
     pi = scoreset.prevalence
     if pi == 1.0:
         raise ValueError("pr_auc_gain is undefined when every label is positive")

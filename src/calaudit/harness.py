@@ -7,8 +7,6 @@ results never depend on execution order.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -23,8 +21,9 @@ from .dataset import (
     DegenerateSampleError,
     ScoreSet,
     UNKNOWN_GROUP,
-    _csv_stream,
     _match_group_indices,
+    _write_csv,
+    _write_json,
     subsample_indices,
 )
 from .platt import DecompositionResult, apply_platt, decompose_psr, fit_platt, to_llr
@@ -85,11 +84,18 @@ class AuditConfig:
             raise ValueError(f"unknown metric(s): {', '.join(unknown)}")
         if not metrics:
             raise ValueError("at least one metric is required")
+        if len(set(metrics)) != len(metrics):
+            raise ValueError("metrics must not repeat a name")
         ratios = tuple(float(r) for r in self.ratios)
         if not ratios or any(not 0.0 < r <= 1.0 for r in ratios):
             raise ValueError("ratios must lie in (0, 1]")
         if list(ratios) != sorted(ratios):
             raise ValueError("ratios must be sorted ascending")
+        # outputs key and label ratios by f"{r:g}"; two that print alike would collide
+        if len({f"{r:g}" for r in ratios}) != len(ratios):
+            raise ValueError("ratios must be distinct as printed (6 significant digits)")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.n_bins < 1:
             raise ValueError("n_bins must be >= 1")
         if not 0.0 <= self.threshold <= 1.0:
@@ -116,6 +122,8 @@ class AuditConfig:
             raise ValueError("max_subsample_retries must be >= 0")
         object.__setattr__(self, "metrics", metrics)
         object.__setattr__(self, "ratios", ratios)
+        # a numpy integer would reach the JSON provenance, which cannot encode it
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -151,12 +159,11 @@ class AuditReport:
                 for m, per in self.series.items()
             },
             "summaries": {
-                m: {s: (None if b is None else b.to_dict()) for s, b in per.items()}
+                m: {s: _record(b) for s, b in per.items()}
                 for m, per in self.summaries.items()
             },
             "tests": {
-                m: {c: (None if t is None else t.to_dict()) for c, t in per.items()}
-                for m, per in self.tests.items()
+                m: {c: _record(t) for c, t in per.items()} for m, per in self.tests.items()
             },
             "provenance": self.provenance,
         }
@@ -178,18 +185,26 @@ class SweepResult:
             "ratios": list(self.ratios),
             "runs": list(self.runs),
             "summaries": {
-                m: {f"{r:g}": (None if b is None else b.to_dict()) for r, b in per.items()}
+                m: {f"{r:g}": _record(b) for r, b in per.items()}
                 for m, per in self.summaries.items()
             },
-            "tests": {
-                m: (None if t is None else t.to_dict()) for m, t in self.tests.items()
-            },
+            "tests": {m: _record(t) for m, t in self.tests.items()},
             "provenance": self.provenance,
         }
 
 
 def _clean(value: float) -> float | None:
+    """A JSON value: ``None`` for a missing (NaN) value."""
     return None if math.isnan(value) else float(value)
+
+
+def _csv_value(value: float) -> str:
+    """A CSV cell: blank for a missing (NaN) value."""
+    return "" if math.isnan(value) else str(value)
+
+
+def _record(result: BoxplotSummary | PairedTestResult | None) -> dict | None:
+    return None if result is None else asdict(result)
 
 
 @dataclass(frozen=True)
@@ -264,7 +279,7 @@ def _fit_run_calibrator(
     except ValueError as exc:
         notes.append(f"run {run.run_index}: Platt fit failed: {exc}")
         return {"run": run.run_index, "error": str(exc)}, None
-    diag = {"run": run.run_index, **params.to_dict()}
+    diag = {"run": run.run_index, **asdict(params)}
     if not params.converged:
         notes.append(f"run {run.run_index}: Platt fit did not converge")
         return diag, None
@@ -435,9 +450,7 @@ def run_size_matched_audit(
 
 
 def run_sampling_sweep(
-    runs: Iterable[AuditRun],
-    config: AuditConfig | None = None,
-    provenance_extra: dict | None = None,
+    runs: Iterable[AuditRun], config: AuditConfig | None = None
 ) -> SweepResult:
     """Metric values for every run at every sampling ratio.
 
@@ -508,8 +521,6 @@ def run_sampling_sweep(
             "notes": notes,
         }
     )
-    if provenance_extra:
-        provenance.update(provenance_extra)
     return SweepResult(
         ratios=ratios,
         runs=tuple(run_ids),
@@ -560,15 +571,12 @@ def run_synthetic_experiment(
                     test=scored.take(np.sort(perm[n_val : n_val + n_test])),
                 )
 
-        results[scenario.name] = run_sampling_sweep(
-            _split_runs(),
-            cfg,
-            provenance_extra={
-                "scenario": {"alpha": scenario.alpha, "beta": scenario.beta,
-                             "name": scenario.name},
-                "n_runs": n_runs,
-            },
+        result = run_sampling_sweep(_split_runs(), cfg)
+        result.provenance.update(
+            scenario={"alpha": scenario.alpha, "beta": scenario.beta, "name": scenario.name},
+            n_runs=n_runs,
         )
+        results[scenario.name] = result
     return results
 
 
@@ -580,24 +588,19 @@ def write_sweep_csv(
     ``scenario`` prepends a constant scenario column so rows stay
     self-describing when several sweeps are concatenated.
     """
-    header = ["run", "ratio", "metric", "value"]
-    prefix: list = []
+    header: tuple = ("run", "ratio", "metric", "value")
+    rows = (
+        [run, f"{ratio:g}", metric, _csv_value(value)]
+        for run, ratio, metric, value in result.rows
+    )
     if scenario is not None:
-        header = ["scenario"] + header
-        prefix = [scenario]
-    with _csv_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for run, ratio, metric, value in result.rows:
-            writer.writerow(
-                prefix + [run, f"{ratio:g}", metric, "" if math.isnan(value) else str(value)]
-            )
+        header = ("scenario", *header)
+        rows = ([scenario, *row] for row in rows)
+    _write_csv(dest, header, rows)
 
 
 def write_audit_json(report: AuditReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    _write_json(report.to_dict(), path)
 
 
 def write_audit_metric_csvs(report: AuditReport, json_path: str) -> list[str]:
@@ -608,13 +611,14 @@ def write_audit_metric_csvs(report: AuditReport, json_path: str) -> list[str]:
     written = []
     for metric, per_series in report.series.items():
         out = base.with_name(f"{base.stem}_{metric}.csv")
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["metric", "series", "run", "value"])
-            for series_label, vals in per_series.items():
-                for run, value in zip(report.runs, vals):
-                    writer.writerow(
-                        [metric, series_label, run, "" if math.isnan(value) else str(value)]
-                    )
+        _write_csv(
+            out,
+            ("metric", "series", "run", "value"),
+            (
+                [metric, series_label, run, _csv_value(value)]
+                for series_label, vals in per_series.items()
+                for run, value in zip(report.runs, vals)
+            ),
+        )
         written.append(str(out))
     return written

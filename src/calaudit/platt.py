@@ -24,15 +24,6 @@ class PlattParams:
     final_gradient_norm: float
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "a": float(self.a),
-            "b": float(self.b),
-            "iterations": int(self.iterations),
-            "final_gradient_norm": float(self.final_gradient_norm),
-            "converged": bool(self.converged),
-        }
-
 
 @dataclass(frozen=True)
 class DecompositionResult:
@@ -48,16 +39,6 @@ class DecompositionResult:
     brier: float
     brier_platt: float
     delta_brier: float
-
-    def to_dict(self) -> dict:
-        return {
-            "ce": float(self.ce),
-            "ce_platt": float(self.ce_platt),
-            "delta_ce": float(self.delta_ce),
-            "brier": float(self.brier),
-            "brier_platt": float(self.brier_platt),
-            "delta_brier": float(self.delta_brier),
-        }
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

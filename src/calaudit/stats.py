@@ -22,14 +22,6 @@ class PairedTestResult:
     n_effective: int
     method: str
 
-    def to_dict(self) -> dict:
-        return {
-            "statistic": float(self.statistic),
-            "p_value": float(self.p_value),
-            "n_effective": int(self.n_effective),
-            "method": self.method,
-        }
-
 
 @dataclass(frozen=True)
 class BoxplotSummary:
@@ -39,16 +31,6 @@ class BoxplotSummary:
     q3: float
     iqr: float
     n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": float(self.mean),
-            "median": float(self.median),
-            "q1": float(self.q1),
-            "q3": float(self.q3),
-            "iqr": float(self.iqr),
-            "n": int(self.n),
-        }
 
 
 def midranks(values: np.ndarray) -> np.ndarray:

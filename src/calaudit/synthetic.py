@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
-from .dataset import ScoreSet, Seed, _csv_stream
+from .dataset import _SCORE_COLUMNS, ScoreSet, Seed, _score_rows, _write_csv
 
 _CF_MAX_ITERATIONS = 300
 _CF_EPS = 1e-15
@@ -195,17 +194,7 @@ def write_population_csv(
     pop: SyntheticPopulation, scenario: SyntheticScenario, dest: str | IO[str]
 ) -> None:
     """Standard score CSV plus a true_posterior column."""
-    scoreset = apply_miscalibration(pop, scenario)
-    with _csv_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "score", "label", "group", "true_posterior"])
-        for i in range(scoreset.n):
-            writer.writerow(
-                [
-                    scoreset.sample_ids[i],
-                    str(scoreset.scores[i]),
-                    int(scoreset.labels[i]),
-                    scoreset.groups[i],
-                    str(pop.true_posteriors[i]),
-                ]
-            )
+    rows = zip(_score_rows(apply_miscalibration(pop, scenario)), pop.true_posteriors)
+    _write_csv(
+        dest, (*_SCORE_COLUMNS, "true_posterior"), (row + [str(p)] for row, p in rows)
+    )

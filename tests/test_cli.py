@@ -167,6 +167,28 @@ class TestAuditCommand:
         err = capsys.readouterr().err
         assert "quantile_rule" in err and "missing.csv" not in err
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("audit", ["--size-matched", "--seed", "-1"], "seed"),
+            ("sweep", ["--ratios", "0.1,0.1000001,1"], "distinct"),
+        ],
+    )
+    def test_bad_seed_or_ratios_rejected_before_reading_files(
+        self, tmp_path, capsys, command, flags, message
+    ):
+        code = main(
+            [
+                command,
+                *flags,
+                "--manifest", str(tmp_path / "missing.csv"),
+                "--output", str(tmp_path / "out.csv"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "missing.csv" not in err
+
     def test_manifest_errors_enumerated(self, tmp_path, capsys):
         manifest = tmp_path / "runs.csv"
         manifest.write_text("run_index,validation_csv_path\n0,x.csv\n")

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calaudit import (
     DegenerateSampleError,
@@ -103,6 +105,48 @@ class TestLoadScoreset:
         np.testing.assert_array_equal(again.labels, s.labels)
         np.testing.assert_array_equal(again.groups, s.groups)
         np.testing.assert_array_equal(again.sample_ids, s.sample_ids)
+
+
+# scores with awkward text forms: the bounds, subnormals, exponent reprs;
+# drawing from this short list also makes ties common
+_EDGE_SCORES = (0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-05, 1.5e-07, 0.5)
+# non-empty printable tags without surrounding whitespace, commas and quotes included
+_TAG_CHAR = st.one_of(st.sampled_from(',"\''), st.characters(exclude_categories=("C", "Z")))
+_TAGS = st.one_of(
+    _TAG_CHAR,
+    st.builds(
+        lambda first, middle, last: first + middle + last,
+        _TAG_CHAR,
+        st.text(st.one_of(_TAG_CHAR, st.just(" ")), max_size=6),
+        _TAG_CHAR,
+    ),
+)
+
+
+@st.composite
+def _scoresets(draw) -> ScoreSet:
+    n = draw(st.integers(min_value=1, max_value=30))
+    column = lambda elements: st.lists(elements, min_size=n, max_size=n)
+    scores = draw(column(st.one_of(st.sampled_from(_EDGE_SCORES), st.floats(0.0, 1.0))))
+    return ScoreSet(
+        scores=np.array(scores),
+        labels=np.array(draw(column(st.sampled_from((0, 1))))),
+        sample_ids=np.array(draw(column(_TAGS))),
+        groups=np.array(draw(column(_TAGS))),
+    )
+
+
+@settings(database=None, deadline=None)
+@given(_scoresets())
+def test_score_csv_round_trip_property(s):
+    buffer = io.StringIO()
+    write_scoreset_csv(s, buffer)
+    buffer.seek(0)
+    again = load_scoreset(buffer)
+    np.testing.assert_array_equal(again.scores, s.scores)
+    np.testing.assert_array_equal(again.labels, s.labels)
+    np.testing.assert_array_equal(again.groups, s.groups)
+    np.testing.assert_array_equal(again.sample_ids, s.sample_ids)
 
 
 class TestSubsample:

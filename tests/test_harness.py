@@ -87,6 +87,25 @@ class TestAuditConfig:
         with pytest.raises(ValueError, match="majority and minority.*'a'"):
             AuditConfig(majority="a", minority="a")
 
+    @pytest.mark.parametrize(
+        "ratios", [(0.1, 0.5, 0.5), (0.5, 0.5), (0.1, 0.1000001, 1.0)]
+    )
+    def test_ratios_must_be_distinct_as_printed(self, ratios):
+        with pytest.raises(ValueError, match="distinct"):
+            AuditConfig(ratios=ratios)
+
+    def test_repeated_metric_rejected(self):
+        with pytest.raises(ValueError, match="repeat"):
+            AuditConfig(metrics=("ece", "mce", "ece"))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            AuditConfig(seed=seed)
+
+    def test_numpy_integer_seed_stored_as_python_int(self):
+        assert type(AuditConfig(seed=np.int64(3)).seed) is int
+
 
 class TestGroupAudit:
     def test_paired_series_and_one_test_per_metric(self):
