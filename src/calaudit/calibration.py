@@ -1,4 +1,9 @@
-"""Bin-based calibration errors, proper scoring rules, and reliability curves."""
+"""Bin-based calibration errors, proper scoring rules, and reliability curves.
+
+Every estimator takes a set's ``scores`` and ``labels`` as arrays, as a
+:class:`~calaudit.dataset.ScoreSet` holds them: non-empty, of equal length,
+scores in [0, 1] and labels 0 or 1. They are not checked again here.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ from typing import IO
 
 import numpy as np
 
-from .dataset import ScoreSet, _write_csv
+from .dataset import _write_csv
 
 EQUAL_WIDTH = "equal_width"
 EQUAL_COUNT = "equal_count"
@@ -71,8 +76,28 @@ def _strictly_ascending(boundaries: np.ndarray) -> np.ndarray:
     return b
 
 
+def _equal_width_bins(scores: np.ndarray, n_bins: int) -> np.ndarray:
+    """Equal-width bin index of every score: right-closed, bin 0 also holds 0."""
+    return np.searchsorted(np.linspace(0.0, 1.0, n_bins + 1)[1:-1], scores, side="left")
+
+
+def _equal_count_bins(positions: np.ndarray, n_bins: int) -> np.ndarray:
+    """Equal-count bin index of every record, from its position in the stable
+    sort of its set: ``np.array_split`` runs of those positions, larger first."""
+    n = positions.size
+    if n < n_bins:
+        raise ValueError(
+            f"equal_count binning needs at least n_bins={n_bins} samples, got {n}"
+        )
+    base, extras = divmod(n, n_bins)
+    # the first `extras` bins hold base + 1 positions each, the rest base
+    return np.where(
+        positions < extras * (base + 1), positions // (base + 1), (positions - extras) // base
+    )
+
+
 def bin_scores(
-    scoreset: ScoreSet, scheme: str = EQUAL_WIDTH, n_bins: int = DEFAULT_N_BINS
+    scores: np.ndarray, scheme: str = EQUAL_WIDTH, n_bins: int = DEFAULT_N_BINS
 ) -> Binning:
     """Assign every sample to one of ``n_bins`` bins.
 
@@ -83,23 +108,18 @@ def bin_scores(
     """
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    scores = scoreset.scores
+    scores = np.asarray(scores, dtype=np.float64)
     if scheme == EQUAL_WIDTH:
         boundaries = np.linspace(0.0, 1.0, n_bins + 1)
-        membership = np.searchsorted(boundaries[1:-1], scores, side="left")
-        return Binning(EQUAL_WIDTH, n_bins, boundaries, membership)
+        return Binning(EQUAL_WIDTH, n_bins, boundaries, _equal_width_bins(scores, n_bins))
     if scheme == EQUAL_COUNT:
-        if scoreset.n < n_bins:
-            raise ValueError(
-                f"equal_count binning needs at least n_bins={n_bins} samples, got {scoreset.n}"
-            )
+        n = scores.size
+        by_position = _equal_count_bins(np.arange(n), n_bins)
         order = np.argsort(scores, kind="stable")
-        chunks = np.array_split(order, n_bins)
-        membership = np.empty(scoreset.n, dtype=np.int64)
-        for b, chunk in enumerate(chunks):
-            membership[chunk] = b
+        membership = np.empty(n, dtype=np.int64)
+        membership[order] = by_position
         sorted_scores = scores[order]
-        edges = np.cumsum([len(c) for c in chunks])[:-1]
+        edges = np.flatnonzero(np.diff(by_position)) + 1
         interior = (sorted_scores[edges - 1] + sorted_scores[edges]) / 2.0
         interior = np.clip(interior, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
         boundaries = _strictly_ascending(np.concatenate([[0.0], interior, [1.0]]))
@@ -107,65 +127,87 @@ def bin_scores(
     raise ValueError(f"unknown binning scheme {scheme!r}")
 
 
-def _bin_stats(scoreset: ScoreSet, binning: Binning):
-    if binning.membership.size != scoreset.n:
-        raise ValueError("binning was built over a different sample set")
-    counts = np.bincount(binning.membership, minlength=binning.n_bins)
-    score_sums = np.bincount(
-        binning.membership, weights=scoreset.scores, minlength=binning.n_bins
-    )
+BinStats = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _bin_stats(
+    scores: np.ndarray, labels: np.ndarray, membership: np.ndarray, n_bins: int
+) -> BinStats:
+    """Per bin: record count, score sum and label sum, accumulated in record order."""
+    counts = np.bincount(membership, minlength=n_bins)
+    score_sums = np.bincount(membership, weights=scores, minlength=n_bins)
     label_sums = np.bincount(
-        binning.membership,
-        weights=scoreset.labels.astype(np.float64),
-        minlength=binning.n_bins,
+        membership, weights=labels.astype(np.float64), minlength=n_bins
     )
     return counts, score_sums, label_sums
 
 
-def ece(scoreset: ScoreSet, binning: Binning) -> float:
+def _binned_stats(scores, labels, binning: Binning) -> BinStats:
+    scores = np.asarray(scores, dtype=np.float64)
+    if binning.membership.size != scores.size:
+        raise ValueError("binning was built over a different sample set")
+    return _bin_stats(scores, np.asarray(labels), binning.membership, binning.n_bins)
+
+
+def _gaps(stats: BinStats) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and |positive rate - mean score| of the non-empty bins."""
+    counts, score_sums, label_sums = stats
+    occupied = counts > 0
+    gaps = np.abs(label_sums[occupied] - score_sums[occupied]) / counts[occupied]
+    return counts[occupied], gaps
+
+
+def _ece(stats: BinStats) -> float:
+    counts, gaps = _gaps(stats)
+    return float(np.sum(counts * gaps) / stats[0].sum())
+
+
+def _mce(stats: BinStats) -> float:
+    return float(_gaps(stats)[1].max())
+
+
+def ece(scores: np.ndarray, labels: np.ndarray, binning: Binning) -> float:
     """Expected calibration error: count-weighted mean |positive rate - mean score|.
 
     Confidence is the mean score within a bin, not the bin midpoint; empty
     bins contribute zero.
     """
-    counts, score_sums, label_sums = _bin_stats(scoreset, binning)
-    occupied = counts > 0
-    gaps = np.abs(label_sums[occupied] - score_sums[occupied]) / counts[occupied]
-    return float(np.sum(counts[occupied] * gaps) / scoreset.n)
+    return _ece(_binned_stats(scores, labels, binning))
 
 
-def mce(scoreset: ScoreSet, binning: Binning) -> float:
+def mce(scores: np.ndarray, labels: np.ndarray, binning: Binning) -> float:
     """Maximum calibration error over non-empty bins."""
-    counts, score_sums, label_sums = _bin_stats(scoreset, binning)
-    occupied = counts > 0
-    gaps = np.abs(label_sums[occupied] - score_sums[occupied]) / counts[occupied]
-    return float(gaps.max())
+    return _mce(_binned_stats(scores, labels, binning))
 
 
-def ada_ece(scoreset: ScoreSet, n_bins: int = DEFAULT_N_BINS) -> float:
+def ada_ece(
+    scores: np.ndarray, labels: np.ndarray, n_bins: int = DEFAULT_N_BINS
+) -> float:
     """Adaptive ECE: the expected calibration error over equal-count bins."""
-    return ece(scoreset, bin_scores(scoreset, EQUAL_COUNT, n_bins))
+    return ece(scores, labels, bin_scores(scores, EQUAL_COUNT, n_bins))
 
 
 def cross_entropy(
-    scoreset: ScoreSet, clip_epsilon: float = DEFAULT_CLIP_EPSILON
+    scores: np.ndarray, labels: np.ndarray, clip_epsilon: float = DEFAULT_CLIP_EPSILON
 ) -> float:
     """Mean binary cross-entropy (natural log), scores clamped away from 0/1."""
     if not 0.0 < clip_epsilon < 0.5:
         raise ValueError("clip_epsilon must lie in (0, 0.5)")
-    s = np.clip(scoreset.scores, clip_epsilon, 1.0 - clip_epsilon)
-    y = scoreset.labels
+    s = np.clip(np.asarray(scores, dtype=np.float64), clip_epsilon, 1.0 - clip_epsilon)
+    y = np.asarray(labels)
     return float(-np.mean(y * np.log(s) + (1 - y) * np.log(1.0 - s)))
 
 
-def brier(scoreset: ScoreSet) -> float:
+def brier(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mean squared difference between score and label."""
-    return float(np.mean((scoreset.scores - scoreset.labels) ** 2))
+    return float(np.mean((np.asarray(scores, dtype=np.float64) - np.asarray(labels)) ** 2))
 
 
-def reliability_curve(scoreset: ScoreSet, binning: Binning) -> list[ReliabilityPoint]:
+def reliability_curve(
+    scores: np.ndarray, labels: np.ndarray, binning: Binning
+) -> list[ReliabilityPoint]:
     """One (mean score, positive rate) point per non-empty bin, ordered by bin."""
-    counts, score_sums, label_sums = _bin_stats(scoreset, binning)
+    counts, score_sums, label_sums = _binned_stats(scores, labels, binning)
     points = []
     for b in range(binning.n_bins):
         if counts[b] == 0:

@@ -7,6 +7,8 @@ import csv
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import harness
 from .calibration import DEFAULT_CLIP_EPSILON, DEFAULT_N_BINS
 from .dataset import ScoreSetFormatError, _write_json, load_scoreset
@@ -165,12 +167,12 @@ def _config(args: argparse.Namespace, **fields) -> AuditConfig:
     )
 
 
-def _metric_block(subset, cfg: AuditConfig) -> dict:
+def _metric_block(records: harness._Records, idx: np.ndarray) -> dict:
     names = DISCRIMINATION_METRICS + CALIBRATION_METRICS
-    values, errors = harness._metric_values(names, subset, None, cfg)
+    values, errors = harness._metric_values(names, records, idx)
     return {
-        "n": subset.n,
-        "prevalence": subset.prevalence,
+        "n": int(idx.size),
+        "prevalence": float(records.labels[idx].mean()),
         "metrics": {m: harness._clean(v) for m, v in values.items()},
         "errors": dict(e.split(": ", 1) for e in errors),
     }
@@ -179,15 +181,16 @@ def _metric_block(subset, cfg: AuditConfig) -> dict:
 def cmd_metrics(args: argparse.Namespace) -> None:
     cfg = _config(args)
     scoreset = load_scoreset(args.input)
+    records = harness._Records(scoreset.scores, scoreset.labels, None, cfg)
     payload = {
         "command": "metrics",
         "input": str(args.input),
         "config": _config_echo(cfg),
-        "overall": _metric_block(scoreset, cfg),
+        "overall": _metric_block(records, np.arange(scoreset.n)),
     }
     if args.by_group:
         payload["groups"] = {
-            tag: _metric_block(scoreset.filter_group(tag), cfg)
+            tag: _metric_block(records, np.flatnonzero(scoreset.groups == tag))
             for tag in sorted(scoreset.group_counts())
         }
     _write_json(payload, args.output)

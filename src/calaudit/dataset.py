@@ -24,6 +24,9 @@ class DegenerateSampleError(ValueError):
     """Raised when a resampling operation produces an unusable subset."""
 
 
+_COLUMNS = ("scores", "labels", "sample_ids", "groups")
+
+
 @dataclass(frozen=True)
 class ScoreSet:
     """Immutable evaluation population: probability scores, binary labels, group tags.
@@ -63,12 +66,7 @@ class ScoreSet:
             if arr.size != n:
                 raise ValueError(f"{name} must have the same length as scores")
 
-        for name, arr in (
-            ("scores", scores),
-            ("labels", labels),
-            ("sample_ids", sample_ids),
-            ("groups", groups),
-        ):
+        for name, arr in zip(_COLUMNS, (scores, labels, sample_ids, groups)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -85,14 +83,20 @@ class ScoreSet:
         return float(self.labels.mean())
 
     def take(self, indices: np.ndarray) -> "ScoreSet":
-        """Return the sub-population at ``indices`` (order preserved)."""
+        """Return the sub-population at ``indices`` (order preserved).
+
+        The columns are already validated and read-only, so each is gathered
+        once and not checked again.
+        """
         idx = np.asarray(indices)
-        return ScoreSet(
-            scores=self.scores[idx],
-            labels=self.labels[idx],
-            sample_ids=self.sample_ids[idx],
-            groups=self.groups[idx],
-        )
+        if idx.size == 0 or (idx.dtype == bool and not idx.any()):
+            raise ValueError("a ScoreSet must contain at least one record")
+        subset = object.__new__(ScoreSet)
+        for name in _COLUMNS:
+            column = getattr(self, name)[idx].reshape(-1)
+            column.setflags(write=False)
+            object.__setattr__(subset, name, column)
+        return subset
 
     def with_scores(self, scores: np.ndarray) -> "ScoreSet":
         """Return a copy with ``scores`` replaced (e.g. after recalibration)."""
@@ -205,8 +209,19 @@ _SCORE_COLUMNS = ("sample_id", "score", "label", "group")
 
 
 def _score_rows(s: ScoreSet) -> Iterator[list]:
-    for i in range(s.n):
-        yield [s.sample_ids[i], str(s.scores[i]), int(s.labels[i]), s.groups[i]]
+    """The rows of the score CSV, after checking that every sample id and group
+    tag loads back unchanged: the loader strips both and fills in empty ones."""
+    for name, column in (("sample_id", s.sample_ids), ("group", s.groups)):
+        for i, value in enumerate(column.tolist()):
+            if not value or value != value.strip():
+                raise ValueError(
+                    f"record {i}: {name} {value!r} is empty or has surrounding "
+                    "whitespace, which the score CSV cannot round-trip"
+                )
+    return (
+        [s.sample_ids[i], str(s.scores[i]), int(s.labels[i]), s.groups[i]]
+        for i in range(s.n)
+    )
 
 
 def write_scoreset_csv(scoreset: ScoreSet, dest: str | IO[str]) -> None:

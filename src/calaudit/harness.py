@@ -3,6 +3,18 @@
 Every entry point is a deterministic function of its inputs, the config and the
 master seed: per-cell seeds are derived from (seed, stream, run, ...) keys, so
 results never depend on execution order.
+
+A cell (one run and one group, or one run and one sampling ratio) is a sorted
+array of indices into its run's test records, and its metrics read the
+gathered ``scores[idx]``, ``labels[idx]`` and Platt scores; no ``ScoreSet`` is
+built per cell. Each run's test scores are stable-sorted once. That sort breaks
+ties by record index, and so does the stable sort of a sorted subset, so the
+run's order restricted to a cell is exactly the cell's own stable order, from
+which equal-count (AdaECE) bins are cut without a sort per cell. The records
+themselves are never reordered: subsample seeds draw record indices, and each
+cell's bin sums accumulate in record-index order, because floating-point sums
+in another order could differ in the last digit and outputs are byte-identical
+to evaluating the cell as a set of its own.
 """
 
 from __future__ import annotations
@@ -96,8 +108,13 @@ class AuditConfig:
             raise ValueError("ratios must be distinct as printed (6 significant digits)")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
+        for name, low in (("n_bins", 1), ("max_subsample_retries", 0), ("population_size", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
+            object.__setattr__(self, name, int(value))
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must be a finite number in [0, 1]")
         try:
@@ -118,8 +135,6 @@ class AuditConfig:
             and self.validation_fraction + self.test_fraction <= 1.0
         ):
             raise ValueError("validation/test fractions must be positive and sum to <= 1")
-        if self.max_subsample_retries < 0:
-            raise ValueError("max_subsample_retries must be >= 0")
         object.__setattr__(self, "metrics", metrics)
         object.__setattr__(self, "ratios", ratios)
         # a numpy integer would reach the JSON provenance, which cannot encode it
@@ -208,51 +223,116 @@ def _record(result: BoxplotSummary | PairedTestResult | None) -> dict | None:
 
 
 @dataclass(frozen=True)
-class _Cell:
-    """One evaluated subset, with the binning and decomposition its metrics share."""
+class _Records:
+    """A run's test records as arrays, with what every cell over them shares.
 
-    subset: ScoreSet
+    ``platt_scores`` are the records' recalibrated scores, or ``None`` when the
+    run has no calibrator.
+    """
+
+    scores: np.ndarray
+    labels: np.ndarray
     platt_scores: np.ndarray | None
     cfg: AuditConfig
 
     @cached_property
-    def equal_width(self) -> calibration.Binning:
-        return calibration.bin_scores(self.subset, calibration.EQUAL_WIDTH, self.cfg.n_bins)
+    def equal_width(self) -> np.ndarray:
+        """Every record's equal-width bin; a record's bin does not depend on its cell."""
+        return calibration._equal_width_bins(self.scores, self.cfg.n_bins)
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """Every record's position in the stable sort of all the scores."""
+        order = np.argsort(self.scores, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return rank
+
+    def positions(self, idx: np.ndarray) -> np.ndarray:
+        """Positions of the records at sorted ``idx`` in the stable sort of their
+        own scores, that is, the inverse of ``argsort(scores[idx], kind="stable")``.
+
+        The run's stable sort orders ties by record index, and so does the
+        stable sort of a sorted subset, so a record's position in its cell is
+        the number of the cell's records that precede it in the run's order.
+        """
+        rank = self.rank[idx]
+        inside = np.zeros(self.scores.size, dtype=bool)
+        inside[rank] = True
+        return np.cumsum(inside)[rank] - 1
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """One evaluated subset: the records at sorted indices ``idx``, with the
+    arrays, bin statistics and decomposition its metrics share."""
+
+    records: _Records
+    idx: np.ndarray
+
+    @property
+    def cfg(self) -> AuditConfig:
+        return self.records.cfg
+
+    @cached_property
+    def scores(self) -> np.ndarray:
+        return self.records.scores[self.idx]
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return self.records.labels[self.idx]
+
+    @cached_property
+    def equal_width(self) -> calibration.BinStats:
+        membership = self.records.equal_width[self.idx]
+        return calibration._bin_stats(self.scores, self.labels, membership, self.cfg.n_bins)
+
+    @cached_property
+    def equal_count(self) -> calibration.BinStats:
+        n_bins = self.cfg.n_bins
+        membership = calibration._equal_count_bins(self.records.positions(self.idx), n_bins)
+        return calibration._bin_stats(self.scores, self.labels, membership, n_bins)
 
     @cached_property
     def decomposition(self) -> DecompositionResult:
-        if self.platt_scores is None:
+        if self.records.platt_scores is None:
             raise ValueError("delta metrics require Platt-transformed scores")
-        return decompose_psr(self.subset, self.platt_scores, self.cfg.clip_epsilon)
+        return decompose_psr(
+            self.scores,
+            self.labels,
+            self.records.platt_scores[self.idx],
+            self.cfg.clip_epsilon,
+        )
 
 
-# metric name -> value on a cell; functions are looked up on their modules at
-# call time so that wrappers installed there (the bench tracer) see every call
+# metric name -> value on a cell; each entry picks what its estimator needs
+# from the cell, so binnings and the decomposition are built once per cell and
+# shared by the metrics that read them
 _METRICS = {
-    "auc_roc": lambda c: discrimination.roc_auc(c.subset),
-    "auc_pr": lambda c: discrimination.pr_auc(c.subset),
-    "auc_prg": lambda c: discrimination.pr_auc_gain(c.subset),
+    "auc_roc": lambda c: discrimination.roc_auc(c.scores, c.labels),
+    "auc_pr": lambda c: discrimination.pr_auc(c.scores, c.labels),
+    "auc_prg": lambda c: discrimination.pr_auc_gain(c.scores, c.labels),
     "balanced_accuracy": lambda c: discrimination.balanced_accuracy(
-        c.subset, c.cfg.threshold
+        c.scores, c.labels, c.cfg.threshold
     ),
-    "ece": lambda c: calibration.ece(c.subset, c.equal_width),
-    "mce": lambda c: calibration.mce(c.subset, c.equal_width),
-    "ada_ece": lambda c: calibration.ada_ece(c.subset, c.cfg.n_bins),
-    "cross_entropy": lambda c: calibration.cross_entropy(c.subset, c.cfg.clip_epsilon),
-    "brier": lambda c: calibration.brier(c.subset),
+    "ece": lambda c: calibration._ece(c.equal_width),
+    "mce": lambda c: calibration._mce(c.equal_width),
+    "ada_ece": lambda c: calibration._ece(c.equal_count),
+    "cross_entropy": lambda c: calibration.cross_entropy(
+        c.scores, c.labels, c.cfg.clip_epsilon
+    ),
+    "brier": lambda c: calibration.brier(c.scores, c.labels),
     "delta_ce": lambda c: c.decomposition.delta_ce,
     "delta_brier": lambda c: c.decomposition.delta_brier,
 }
 
 
 def _metric_values(
-    names: Sequence[str],
-    subset: ScoreSet,
-    platt_scores: np.ndarray | None,
-    cfg: AuditConfig,
+    names: Sequence[str], records: _Records, idx: np.ndarray
 ) -> tuple[dict[str, float], list[str]]:
-    """Compute each metric independently; undefined ones come back as NaN with a message."""
-    cell = _Cell(subset, platt_scores, cfg)
+    """Compute each metric independently on the records at sorted ``idx``;
+    undefined ones come back as NaN with a message."""
+    cell = _Cell(records, idx)
     values: dict[str, float] = {}
     errors: list[str] = []
     for name in names:
@@ -266,24 +346,29 @@ def _metric_values(
 
 def _fit_run_calibrator(
     run: AuditRun, cfg: AuditConfig, notes: list[str]
-) -> tuple[dict, np.ndarray | None]:
+) -> tuple[dict, _Records]:
     """Fit Platt scaling on the run's validation set and apply it to its test set.
 
-    Returns the run's ``platt`` provenance entry and the test set's Platt
-    scores. A fit that fails or does not converge (separable validation data)
-    is noted and yields no scores, so only the run's delta metrics go missing.
+    Returns the run's ``platt`` provenance entry and its test records with
+    their Platt scores. A fit that fails or does not converge (separable
+    validation data) is noted and yields no scores, so only the run's delta
+    metrics go missing.
     """
+    test = run.test
+    platt_scores = None
     llr = to_llr(run.validation.scores, cfg.clip_epsilon)
     try:
         params = fit_platt(llr, run.validation.labels)
     except ValueError as exc:
         notes.append(f"run {run.run_index}: Platt fit failed: {exc}")
-        return {"run": run.run_index, "error": str(exc)}, None
-    diag = {"run": run.run_index, **asdict(params)}
-    if not params.converged:
-        notes.append(f"run {run.run_index}: Platt fit did not converge")
-        return diag, None
-    return diag, apply_platt(params, to_llr(run.test.scores, cfg.clip_epsilon))
+        diag = {"run": run.run_index, "error": str(exc)}
+    else:
+        diag = {"run": run.run_index, **asdict(params)}
+        if params.converged:
+            platt_scores = apply_platt(params, to_llr(test.scores, cfg.clip_epsilon))
+        else:
+            notes.append(f"run {run.run_index}: Platt fit did not converge")
+    return diag, _Records(test.scores, test.labels, platt_scores, cfg)
 
 
 def _resolve_group_pair(runs: Sequence[AuditRun], cfg: AuditConfig) -> tuple[str, str]:
@@ -364,7 +449,7 @@ def _audit(
     platt_diag: list[dict] = []
     match_seeds: list[dict] = []
     for run in runs:
-        diag, platt_scores = _fit_run_calibrator(run, cfg, notes)
+        diag, records = _fit_run_calibrator(run, cfg, notes)
         platt_diag.append(diag)
         matched_idx = None
         if matched:
@@ -385,12 +470,7 @@ def _audit(
                     series[m][s].append(math.nan)
                 notes.append(f"run {run.run_index}: {label(s)} absent from test set")
                 continue
-            values, errors = _metric_values(
-                cfg.metrics,
-                run.test.take(idx),
-                None if platt_scores is None else platt_scores[idx],
-                cfg,
-            )
+            values, errors = _metric_values(cfg.metrics, records, idx)
             for m in cfg.metrics:
                 series[m][s].append(values[m])
             notes.extend(f"run {run.run_index} {label(s)} {e}" for e in errors)
@@ -469,7 +549,7 @@ def run_sampling_sweep(
     notes: list[str] = []
     for run in runs:
         run_ids.append(run.run_index)
-        _, platt_scores = _fit_run_calibrator(run, cfg, notes)
+        _, records = _fit_run_calibrator(run, cfg, notes)
         for ri, ratio in enumerate(ratios):
             idx = None
             for attempt in range(cfg.max_subsample_retries + 1):
@@ -489,12 +569,7 @@ def run_sampling_sweep(
                 )
                 cell = {m: math.nan for m in cfg.metrics}
             else:
-                cell, errors = _metric_values(
-                    cfg.metrics,
-                    run.test.take(idx),
-                    None if platt_scores is None else platt_scores[idx],
-                    cfg,
-                )
+                cell, errors = _metric_values(cfg.metrics, records, idx)
                 notes.extend(
                     f"run {run.run_index} ratio {ratio:g} {e}" for e in errors
                 )

@@ -8,7 +8,6 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import DEFAULT_CLIP_EPSILON, brier, cross_entropy
-from .dataset import ScoreSet
 
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_MAX_ITERATIONS = 100
@@ -165,25 +164,28 @@ def apply_platt(
 
 
 def decompose_psr(
-    raw: ScoreSet,
+    scores: np.ndarray,
+    labels: np.ndarray,
     platt_scores: Sequence[float] | np.ndarray,
     clip_epsilon: float = DEFAULT_CLIP_EPSILON,
 ) -> DecompositionResult:
     """Split cross-entropy and Brier into discrimination and calibration parts.
 
-    ``platt_scores`` must align one-to-one with the raw records; the deltas
-    (raw minus recalibrated) are the calibration components of each rule.
+    ``platt_scores`` must align one-to-one with the raw ``scores`` and their
+    ``labels``; the deltas (raw minus recalibrated) are the calibration
+    components of each rule.
     """
+    scores = np.asarray(scores, dtype=np.float64)
     platt_scores = np.asarray(platt_scores, dtype=np.float64).reshape(-1)
-    if platt_scores.size != raw.n:
+    if platt_scores.size != scores.size:
         raise ValueError(
-            f"platt_scores length {platt_scores.size} does not match the {raw.n} records"
+            f"platt_scores length {platt_scores.size} does not match the "
+            f"{scores.size} records"
         )
-    recalibrated = raw.with_scores(platt_scores)
-    ce_raw = cross_entropy(raw, clip_epsilon)
-    ce_platt = cross_entropy(recalibrated, clip_epsilon)
-    brier_raw = brier(raw)
-    brier_platt = brier(recalibrated)
+    ce_raw = cross_entropy(scores, labels, clip_epsilon)
+    ce_platt = cross_entropy(platt_scores, labels, clip_epsilon)
+    brier_raw = brier(scores, labels)
+    brier_platt = brier(platt_scores, labels)
     return DecompositionResult(
         ce=ce_raw,
         ce_platt=ce_platt,

@@ -189,7 +189,7 @@ def test_c5_oracle_equivalences():
         if labels.min() == labels.max():
             continue
         s = make_scoreset(scores, labels)
-        if abs(roc_auc(s) - oracles.roc_auc_pairwise(scores, labels)) > 1e-12:
+        if abs(roc_auc(s.scores, s.labels) - oracles.roc_auc_pairwise(scores, labels)) > 1e-12:
             failures.append(f"roc_auc trial {trial}")
 
     # pr_auc vs brute-force threshold sweep, tolerance 1e-12
@@ -200,26 +200,26 @@ def test_c5_oracle_equivalences():
         if labels.sum() == 0:
             continue
         s = make_scoreset(scores, labels)
-        if abs(pr_auc(s) - oracles.pr_auc_threshold_sweep(scores, labels)) > 1e-12:
+        if abs(pr_auc(s.scores, s.labels) - oracles.pr_auc_threshold_sweep(scores, labels)) > 1e-12:
             failures.append(f"pr_auc trial {trial}")
 
     # ECE / MCE / AdaECE vs the naive re-binning oracle, tolerance 1e-12
     for trial in range(8):
         s = calibrated_scoreset(int(rng.integers(30, 400)), seed=trial)
-        binning = bin_scores(s, n_bins=15)
+        binning = bin_scores(s.scores, n_bins=15)
         members = oracles.equal_width_membership(list(s.scores), list(binning.boundaries))
         expected_ece, expected_mce = oracles.calibration_gaps(
             list(s.scores), list(s.labels), members, 15
         )
-        if abs(ece(s, binning) - expected_ece) > 1e-12:
+        if abs(ece(s.scores, s.labels, binning) - expected_ece) > 1e-12:
             failures.append(f"ece trial {trial}")
-        if abs(mce(s, binning) - expected_mce) > 1e-12:
+        if abs(mce(s.scores, s.labels, binning) - expected_mce) > 1e-12:
             failures.append(f"mce trial {trial}")
         ada_members = oracles.equal_count_membership(list(s.scores), 15)
         expected_ada, _ = oracles.calibration_gaps(
             list(s.scores), list(s.labels), ada_members, 15
         )
-        if abs(ada_ece(s, 15) - expected_ada) > 1e-12:
+        if abs(ada_ece(s.scores, s.labels, 15) - expected_ada) > 1e-12:
             failures.append(f"ada_ece trial {trial}")
 
     # Wilcoxon exact p vs full 2^n enumeration, every tie-free pattern, n <= 12
@@ -296,10 +296,22 @@ def test_c7_monotone_transform_invariance():
         distorted = apply_miscalibration(population, SyntheticScenario(a, a))
         worst = max(
             worst,
-            abs(roc_auc(distorted) - roc_auc(base)),
-            abs(pr_auc(distorted) - pr_auc(base)),
-            abs(pr_auc_gain(distorted) - pr_auc_gain(base)),
-            abs(balanced_accuracy(distorted, 0.5) - balanced_accuracy(base, 0.5)),
+            abs(
+                roc_auc(distorted.scores, distorted.labels)
+                - roc_auc(base.scores, base.labels)
+            ),
+            abs(
+                pr_auc(distorted.scores, distorted.labels)
+                - pr_auc(base.scores, base.labels)
+            ),
+            abs(
+                pr_auc_gain(distorted.scores, distorted.labels)
+                - pr_auc_gain(base.scores, base.labels)
+            ),
+            abs(
+                balanced_accuracy(distorted.scores, distorted.labels, 0.5)
+                - balanced_accuracy(base.scores, base.labels, 0.5)
+            ),
         )
         predictions_equal &= bool(
             np.array_equal(distorted.scores >= 0.5, base.scores >= 0.5)

@@ -49,6 +49,41 @@ class TestScoreSet:
         assert list(sub.scores) == [0.3, 0.1]
         assert list(sub.groups) == ["a", "a"]
 
+    @pytest.mark.parametrize(
+        "empty", [np.array([], dtype=int), [], np.zeros(3, dtype=bool)]
+    )
+    def test_take_of_no_record_raises(self, empty):
+        s = make_scoreset([0.1, 0.2, 0.3], [0, 1, 0])
+        with pytest.raises(ValueError, match="at least one record"):
+            s.take(empty)
+
+    def test_take_is_read_only(self):
+        sub = make_scoreset([0.1, 0.2, 0.3], [0, 1, 0]).take(np.array([2, 0]))
+        for name in ("scores", "labels", "sample_ids", "groups"):
+            with pytest.raises(ValueError):
+                getattr(sub, name)[0] = getattr(sub, name)[1]
+
+    def test_take_equals_a_fresh_scoreset(self):
+        s = ScoreSet(
+            scores=np.array([0.1, 0.2, 0.3, 0.4]),
+            labels=np.array([0, 1, 0, 1]),
+            sample_ids=np.array(["a", "bb", "ccc", "d"]),
+            groups=np.array(["x", "y", "x", "long-tag"]),
+        )
+        for idx in (np.array([3, 0, 3]), np.array([True, False, True, True])):
+            sub = s.take(idx)
+            fresh = ScoreSet(
+                scores=s.scores[idx],
+                labels=s.labels[idx],
+                sample_ids=s.sample_ids[idx],
+                groups=s.groups[idx],
+            )
+            assert sub.n == fresh.n
+            for name in ("scores", "labels", "sample_ids", "groups"):
+                got, want = getattr(sub, name), getattr(fresh, name)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
     def test_with_scores_validates_range(self):
         s = make_scoreset([0.1, 0.2], [0, 1])
         with pytest.raises(ValueError):
@@ -105,6 +140,29 @@ class TestLoadScoreset:
         np.testing.assert_array_equal(again.labels, s.labels)
         np.testing.assert_array_equal(again.groups, s.groups)
         np.testing.assert_array_equal(again.sample_ids, s.sample_ids)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("groups", " a"),
+            ("groups", "a\t"),
+            ("groups", ""),
+            ("sample_ids", "x "),
+            ("sample_ids", "\u00a0x"),
+            ("sample_ids", ""),
+        ],
+    )
+    def test_tags_that_would_not_load_back_rejected(self, column, value, tmp_path):
+        # the loader strips ids and tags and fills in empty ones
+        s = ScoreSet(
+            scores=np.array([0.25, 0.75]),
+            labels=np.array([0, 1]),
+            **{column: np.array(["ok", value])},
+        )
+        name = "group" if column == "groups" else "sample_id"
+        with pytest.raises(ValueError, match=f"record 1: {name}"):
+            write_scoreset_csv(s, tmp_path / "scores.csv")
+        assert not (tmp_path / "scores.csv").exists()
 
 
 # scores with awkward text forms: the bounds, subnormals, exponent reprs;
@@ -202,12 +260,18 @@ class TestSubsample:
         s = calibrated_scoreset(400, seed=9)
         t = subsample(s, 1.0, seed=123)
         for metric in (roc_auc, pr_auc, pr_auc_gain, brier):
-            assert metric(t) == metric(s)
-        assert balanced_accuracy(t, 0.5) == balanced_accuracy(s, 0.5)
-        assert cross_entropy(t, 1e-7) == cross_entropy(s, 1e-7)
-        assert ece(t, bin_scores(t)) == ece(s, bin_scores(s))
-        assert mce(t, bin_scores(t)) == mce(s, bin_scores(s))
-        assert ada_ece(t, 15) == ada_ece(s, 15)
+            assert metric(t.scores, t.labels) == metric(s.scores, s.labels)
+        assert balanced_accuracy(t.scores, t.labels, 0.5) == balanced_accuracy(
+            s.scores, s.labels, 0.5
+        )
+        assert cross_entropy(t.scores, t.labels, 1e-7) == cross_entropy(
+            s.scores, s.labels, 1e-7
+        )
+        for metric in (ece, mce):
+            assert metric(t.scores, t.labels, bin_scores(t.scores)) == metric(
+                s.scores, s.labels, bin_scores(s.scores)
+            )
+        assert ada_ece(t.scores, t.labels, 15) == ada_ece(s.scores, s.labels, 15)
 
 
 class TestMatchGroupSize:

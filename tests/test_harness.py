@@ -4,23 +4,45 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from calaudit import (
+    EQUAL_WIDTH,
     AuditConfig,
     AuditRun,
+    DegenerateSampleError,
     ScoreSet,
     SWEEP_METRICS,
     SyntheticScenario,
+    ada_ece,
     apply_miscalibration,
+    apply_platt,
+    balanced_accuracy,
     bin_scores,
+    brier,
+    cross_entropy,
+    decompose_psr,
     ece,
+    fit_platt,
     generate_population,
+    mce,
+    pr_auc,
+    pr_auc_gain,
+    roc_auc,
     run_group_audit,
     run_sampling_sweep,
     run_size_matched_audit,
     run_synthetic_experiment,
+    subsample_indices,
+    to_llr,
     write_sweep_csv,
 )
+from calaudit.calibration import _equal_count_bins
+from calaudit.dataset import _match_group_indices
+from calaudit.harness import _Records
 
+import oracles
 from helpers import calibrated_scoreset
 
 
@@ -105,6 +127,21 @@ class TestAuditConfig:
 
     def test_numpy_integer_seed_stored_as_python_int(self):
         assert type(AuditConfig(seed=np.int64(3)).seed) is int
+
+    @pytest.mark.parametrize("n_bins", [2.5, True, "15"])
+    def test_n_bins_must_be_an_integer(self, n_bins):
+        with pytest.raises(ValueError, match="n_bins"):
+            AuditConfig(n_bins=n_bins)
+
+    @pytest.mark.parametrize("retries", [1.5, True])
+    def test_max_subsample_retries_must_be_an_integer(self, retries):
+        with pytest.raises(ValueError, match="max_subsample_retries"):
+            AuditConfig(max_subsample_retries=retries)
+
+    @pytest.mark.parametrize("size", [2000.0, False, 1, 0])
+    def test_population_size_must_be_an_integer_of_at_least_two(self, size):
+        with pytest.raises(ValueError, match="population_size"):
+            AuditConfig(population_size=size)
 
 
 class TestGroupAudit:
@@ -212,7 +249,7 @@ class TestSizeMatchedAudit:
         run = runs[1]
         idx = _match_group_indices(run.test, "g_big", "g_small", entries[1])
         subset = run.test.take(idx)
-        expected = ece(subset, bin_scores(subset, n_bins=cfg.n_bins))
+        expected = ece(subset.scores, subset.labels, bin_scores(subset.scores, n_bins=cfg.n_bins))
         assert report.series["ece"]["majority_matched"][1] == pytest.approx(
             expected, abs=1e-15
         )
@@ -322,7 +359,7 @@ class TestSamplingSweep:
         s = calibrated_scoreset(3000, seed=5)
         cfg = AuditConfig(metrics=("ece",), ratios=(0.5, 1.0), seed=1)
         result = run_sampling_sweep([AuditRun(run_index=0, validation=s, test=s)], cfg)
-        direct = ece(s, bin_scores(s, n_bins=cfg.n_bins))
+        direct = ece(s.scores, s.labels, bin_scores(s.scores, n_bins=cfg.n_bins))
         full = [v for r, ratio, m, v in result.rows if ratio == 1.0]
         assert full == [direct]
 
@@ -423,3 +460,111 @@ class TestSyntheticExperiment:
                 2,
                 AuditConfig(population_size=2000),
             )
+
+
+# scores from a handful of values, so most records tie with others
+_TIED = (0.0, 0.2, 0.5, 0.7, 1.0)
+
+
+@st.composite
+def _tied_records(draw, min_size=2):
+    n = draw(st.integers(min_value=min_size, max_value=60))
+    column = lambda elements: np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+    return column(st.sampled_from(_TIED)), column(st.sampled_from((0, 1)))
+
+
+def _direct(name, scores, labels, platt_scores, cfg):
+    """One metric from its estimator on the cell's own arrays; NaN where undefined."""
+    estimators = {
+        "auc_roc": lambda: roc_auc(scores, labels),
+        "auc_pr": lambda: pr_auc(scores, labels),
+        "auc_prg": lambda: pr_auc_gain(scores, labels),
+        "balanced_accuracy": lambda: balanced_accuracy(scores, labels, cfg.threshold),
+        "ece": lambda: ece(scores, labels, bin_scores(scores, EQUAL_WIDTH, cfg.n_bins)),
+        "mce": lambda: mce(scores, labels, bin_scores(scores, EQUAL_WIDTH, cfg.n_bins)),
+        "ada_ece": lambda: ada_ece(scores, labels, cfg.n_bins),
+        "cross_entropy": lambda: cross_entropy(scores, labels, cfg.clip_epsilon),
+        "brier": lambda: brier(scores, labels),
+        "delta_ce": lambda: decompose_psr(scores, labels, platt_scores, cfg.clip_epsilon).delta_ce,
+        "delta_brier": lambda: decompose_psr(
+            scores, labels, platt_scores, cfg.clip_epsilon
+        ).delta_brier,
+    }
+    try:
+        return float(estimators[name]())
+    except ValueError:
+        return math.nan
+
+
+def _same(got, want):
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
+_VALIDATION = calibrated_scoreset(500, seed=71)
+
+
+def _platt_scores(test):
+    params = fit_platt(to_llr(_VALIDATION.scores), _VALIDATION.labels)
+    return apply_platt(params, to_llr(test.scores))
+
+
+class TestCellKernel:
+    """Cells bin from one stable order per run, not a sort of their own; every
+    value must still equal the estimator run on the cell's arrays."""
+
+    @settings(database=None, deadline=None)
+    @given(_tied_records(min_size=1), st.data())
+    def test_equal_count_membership_without_a_sort(self, records, data):
+        scores, labels = records
+        idx = np.array(sorted(data.draw(st.sets(st.integers(0, scores.size - 1), min_size=1))))
+        n_bins = data.draw(st.integers(1, idx.size))
+        run = _Records(scores, labels, None, AuditConfig(n_bins=n_bins))
+        membership = _equal_count_bins(run.positions(idx), n_bins)
+        assert membership.tolist() == oracles.equal_count_membership(
+            scores[idx].tolist(), n_bins
+        )
+
+    @settings(database=None, deadline=None, max_examples=40)
+    @given(_tied_records(), st.integers(1, 6), st.integers(0, 2**16))
+    def test_sweep_cells_equal_direct_estimators(self, records, n_bins, seed):
+        test = ScoreSet(scores=records[0], labels=records[1])
+        cfg = AuditConfig(n_bins=n_bins, ratios=(0.3, 0.6, 1.0), seed=seed)
+        result = run_sampling_sweep([AuditRun(0, _VALIDATION, test)], cfg)
+        platt_scores = _platt_scores(test)
+        got = {(ratio, m): v for _, ratio, m, v in result.rows}
+        for position, ratio in enumerate(cfg.ratios):
+            # the documented subsample seed scheme, with its retries
+            idx = None
+            for attempt in range(cfg.max_subsample_retries + 1):
+                try:
+                    idx = subsample_indices(test.labels, ratio, [seed, 3, 0, position, attempt])
+                    break
+                except DegenerateSampleError:
+                    continue
+            for m in cfg.metrics:
+                want = math.nan if idx is None else _direct(
+                    m, test.scores[idx], test.labels[idx], platt_scores[idx], cfg
+                )
+                assert _same(got[ratio, m], want), (ratio, m)
+
+    @settings(database=None, deadline=None, max_examples=40)
+    @given(_tied_records(min_size=3), st.integers(1, 6), st.data())
+    def test_audit_series_equal_direct_estimators(self, records, n_bins, data):
+        scores, labels = records
+        n_minority = data.draw(st.integers(1, scores.size // 2))
+        groups = np.array(["big"] * (scores.size - n_minority) + ["small"] * n_minority)
+        groups = groups[np.array(data.draw(st.permutations(range(scores.size))))]
+        test = ScoreSet(scores=scores, labels=labels, groups=groups)
+        cfg = AuditConfig(n_bins=n_bins, majority="big", minority="small", seed=5)
+        report = run_size_matched_audit([AuditRun(0, _VALIDATION, test)], cfg)
+        seed = report.provenance["match_seeds"][0]["seed"]
+        cells = {
+            "majority": np.flatnonzero(groups == "big"),
+            "minority": np.flatnonzero(groups == "small"),
+            "majority_matched": _match_group_indices(test, "big", "small", seed),
+        }
+        platt_scores = _platt_scores(test)
+        for series, idx in cells.items():
+            for m in cfg.metrics:
+                want = _direct(m, scores[idx], labels[idx], platt_scores[idx], cfg)
+                assert _same(report.series[m][series][0], want), (series, m)

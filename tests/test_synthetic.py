@@ -114,20 +114,24 @@ class TestApplyMiscalibration:
             np.testing.assert_array_equal(
                 distorted.scores >= 0.5, base.scores >= 0.5
             )
-            assert balanced_accuracy(distorted, 0.5) == balanced_accuracy(base, 0.5)
+            assert balanced_accuracy(
+                distorted.scores, distorted.labels, 0.5
+            ) == balanced_accuracy(base.scores, base.labels, 0.5)
 
     def test_ranking_metrics_scenario_invariant(self):
         population = generate_population(20_000, seed=5)
         base = apply_miscalibration(population, SyntheticScenario(1.0, 1.0))
         distorted = apply_miscalibration(population, SyntheticScenario(5.0, 5.0))
-        assert roc_auc(distorted) == pytest.approx(roc_auc(base), abs=1e-12)
+        assert roc_auc(distorted.scores, distorted.labels) == pytest.approx(
+            roc_auc(base.scores, base.labels), abs=1e-12
+        )
 
     def test_decalibration_raises_large_sample_ece(self):
         population = generate_population(200_000, seed=6)
         calibrated = apply_miscalibration(population, SyntheticScenario(1.0, 1.0))
         distorted = apply_miscalibration(population, SyntheticScenario(5.0, 5.0))
-        ece_calibrated = ece(calibrated, bin_scores(calibrated))
-        ece_distorted = ece(distorted, bin_scores(distorted))
+        ece_calibrated = ece(calibrated.scores, calibrated.labels, bin_scores(calibrated.scores))
+        ece_distorted = ece(distorted.scores, distorted.labels, bin_scores(distorted.scores))
         assert ece_distorted > 5 * ece_calibrated
 
     def test_reliability_matches_inverse_transform(self):
@@ -136,8 +140,8 @@ class TestApplyMiscalibration:
         # image, so the exact positive rate is the midpoint of that interval
         population = generate_population(1_000_000, seed=7)
         distorted = apply_miscalibration(population, SyntheticScenario(5.0, 5.0))
-        binning = bin_scores(distorted)
-        points = reliability_curve(distorted, binning)
+        binning = bin_scores(distorted.scores)
+        points = reliability_curve(distorted.scores, distorted.labels, binning)
         for p in points:
             if p.count < 1000:
                 continue
