@@ -187,20 +187,33 @@ def ada_ece(
     return ece(scores, labels, bin_scores(scores, EQUAL_COUNT, n_bins))
 
 
-def cross_entropy(
-    scores: np.ndarray, labels: np.ndarray, clip_epsilon: float = DEFAULT_CLIP_EPSILON
-) -> float:
-    """Mean binary cross-entropy (natural log), scores clamped away from 0/1."""
+def _log_likelihoods(
+    scores: np.ndarray, labels: np.ndarray, clip_epsilon: float
+) -> np.ndarray:
+    """Every record's ``y * log(s) + (1 - y) * log(1 - s)``, with each score
+    clamped to [clip_epsilon, 1 - clip_epsilon]; cross-entropy is minus their mean."""
     if not 0.0 < clip_epsilon < 0.5:
         raise ValueError("clip_epsilon must lie in (0, 0.5)")
     s = np.clip(np.asarray(scores, dtype=np.float64), clip_epsilon, 1.0 - clip_epsilon)
     y = np.asarray(labels)
-    return float(-np.mean(y * np.log(s) + (1 - y) * np.log(1.0 - s)))
+    return y * np.log(s) + (1 - y) * np.log(1.0 - s)
+
+
+def _squared_errors(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Every record's ``(s - y) ** 2``; the Brier score is their mean."""
+    return (np.asarray(scores, dtype=np.float64) - np.asarray(labels)) ** 2
+
+
+def cross_entropy(
+    scores: np.ndarray, labels: np.ndarray, clip_epsilon: float = DEFAULT_CLIP_EPSILON
+) -> float:
+    """Mean binary cross-entropy (natural log), scores clamped away from 0/1."""
+    return float(-np.mean(_log_likelihoods(scores, labels, clip_epsilon)))
 
 
 def brier(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mean squared difference between score and label."""
-    return float(np.mean((np.asarray(scores, dtype=np.float64) - np.asarray(labels)) ** 2))
+    return float(np.mean(_squared_errors(scores, labels)))
 
 
 def reliability_curve(

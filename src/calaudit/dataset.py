@@ -24,21 +24,47 @@ class DegenerateSampleError(ValueError):
     """Raised when a resampling operation produces an unusable subset."""
 
 
-_COLUMNS = ("scores", "labels", "sample_ids", "groups")
+# the stored columns; ``_ids`` holds the sample ids, see :class:`_SampleIds`
+_COLUMNS = ("scores", "labels", "_ids", "groups")
+
+
+class _SampleIds:
+    """The ``ScoreSet.sample_ids`` field, stored in the instance's ``_ids``.
+
+    A set built without ids stores its records' integer indices there, and
+    ``take`` gathers those integers. The first read renders them as the
+    read-only ``str`` array ``np.arange(n).astype(str)`` holds for those
+    indices and stores that in their place. A sweep reads no id, so its sets
+    never build the strings.
+    """
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        ids = obj._ids
+        if ids.dtype.kind != "U":
+            ids = ids.astype(str)
+            ids.setflags(write=False)
+            object.__setattr__(obj, "_ids", ids)
+        return ids
+
+    def __set__(self, obj, value):
+        object.__setattr__(obj, "_ids", value)
 
 
 @dataclass(frozen=True)
 class ScoreSet:
     """Immutable evaluation population: probability scores, binary labels, group tags.
 
-    ``sample_ids`` default to the record index and ``groups`` default to
-    :data:`UNKNOWN_GROUP`. Arrays are copied and marked read-only, so instances
-    are safe to share across concurrent evaluation tasks.
+    ``sample_ids`` default to the record index (as strings, rendered when first
+    read) and ``groups`` default to :data:`UNKNOWN_GROUP`. Arrays are copied
+    and marked read-only, so instances are safe to share across concurrent
+    evaluation tasks.
     """
 
     scores: np.ndarray
     labels: np.ndarray
-    sample_ids: np.ndarray | None = None
+    sample_ids: np.ndarray | None = _SampleIds()
     groups: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -54,10 +80,10 @@ class ScoreSet:
         if not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
 
-        if self.sample_ids is None:
-            sample_ids = np.arange(n).astype(str)
+        if self._ids is None:
+            sample_ids = np.arange(n)
         else:
-            sample_ids = np.array(self.sample_ids, dtype=str, copy=True).reshape(-1)
+            sample_ids = np.array(self._ids, dtype=str, copy=True).reshape(-1)
         if self.groups is None:
             groups = np.full(n, UNKNOWN_GROUP)
         else:

@@ -47,12 +47,12 @@ def pr_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     sorted_labels = labels[order]
-    block_end = np.r_[sorted_scores[1:] != sorted_scores[:-1], True]
+    block_end = np.concatenate((sorted_scores[1:] != sorted_scores[:-1], [True]))
     tp = np.cumsum(sorted_labels)[block_end]
     fp = np.cumsum(1 - sorted_labels)[block_end]
     precision = tp / (tp + fp)
     recall = tp / n_pos
-    return float(np.sum(np.diff(np.r_[0.0, recall]) * precision))
+    return float(np.sum(np.diff(recall, prepend=0.0) * precision))
 
 
 def pr_auc_gain(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -62,10 +62,16 @@ def pr_auc_gain(scores: np.ndarray, labels: np.ndarray) -> float:
     ``auc_prg``; it is not the precision-recall-gain area of Flach & Kull
     (NeurIPS 2015). The key keeps its name so existing outputs stay comparable.
     """
+    return _normalized_ap(pr_auc(scores, labels), labels)
+
+
+def _normalized_ap(ap: float, labels: np.ndarray) -> float:
+    """``(ap - pi) / (1 - pi)`` from the ``pr_auc`` value ``ap`` of a set with
+    these labels, for a caller that already has ``ap``."""
     pi = float(np.mean(labels))
     if pi == 1.0:
         raise ValueError("pr_auc_gain is undefined when every label is positive")
-    return float((pr_auc(scores, labels) - pi) / (1.0 - pi))
+    return float((ap - pi) / (1.0 - pi))
 
 
 def balanced_accuracy(

@@ -15,6 +15,14 @@ themselves are never reordered: subsample seeds draw record indices, and each
 cell's bin sums accumulate in record-index order, because floating-point sums
 in another order could differ in the last digit and outputs are byte-identical
 to evaluating the cell as a set of its own.
+
+The proper scoring rules come from per-run loss tables: each record's
+``y*log(s) + (1-y)*log(1-s)`` on clipped scores and its ``(s - y)**2``, raw
+and Platt, each built once per run and only when a requested metric reads it.
+A cell's cross-entropy or Brier score is the mean of its gathered entries.
+That keeps the bytes: every entry is the value the estimator computes for
+that record on the cell's own arrays, and the gather lists them in the same
+record order, so ``np.mean`` adds the same numbers in the same order.
 """
 
 from __future__ import annotations
@@ -38,7 +46,9 @@ from .dataset import (
     _write_json,
     subsample_indices,
 )
-from .platt import DecompositionResult, apply_platt, decompose_psr, fit_platt, to_llr
+# decompose_psr is not called here (cells read the per-run loss tables), but
+# bench/tracing.py wraps harness.decompose_psr by name, so the name stays bound
+from .platt import apply_platt, decompose_psr, fit_platt, to_llr  # noqa: F401
 from .stats import (
     BoxplotSummary,
     InsufficientPairsError,
@@ -240,6 +250,30 @@ class _Records:
         """Every record's equal-width bin; a record's bin does not depend on its cell."""
         return calibration._equal_width_bins(self.scores, self.cfg.n_bins)
 
+    # per-record loss tables (see the module docstring), each built on first use
+    @cached_property
+    def log_likelihood(self) -> np.ndarray:
+        return calibration._log_likelihoods(self.scores, self.labels, self.cfg.clip_epsilon)
+
+    @cached_property
+    def squared_error(self) -> np.ndarray:
+        return calibration._squared_errors(self.scores, self.labels)
+
+    @cached_property
+    def platt_log_likelihood(self) -> np.ndarray:
+        return calibration._log_likelihoods(
+            self._platt_scores(), self.labels, self.cfg.clip_epsilon
+        )
+
+    @cached_property
+    def platt_squared_error(self) -> np.ndarray:
+        return calibration._squared_errors(self._platt_scores(), self.labels)
+
+    def _platt_scores(self) -> np.ndarray:
+        if self.platt_scores is None:
+            raise ValueError("delta metrics require Platt-transformed scores")
+        return self.platt_scores
+
     @cached_property
     def rank(self) -> np.ndarray:
         """Every record's position in the stable sort of all the scores."""
@@ -265,7 +299,7 @@ class _Records:
 @dataclass(frozen=True)
 class _Cell:
     """One evaluated subset: the records at sorted indices ``idx``, with the
-    arrays, bin statistics and decomposition its metrics share."""
+    arrays, bin statistics and scores its metrics share."""
 
     records: _Records
     idx: np.ndarray
@@ -294,36 +328,51 @@ class _Cell:
         return calibration._bin_stats(self.scores, self.labels, membership, n_bins)
 
     @cached_property
-    def decomposition(self) -> DecompositionResult:
-        if self.records.platt_scores is None:
-            raise ValueError("delta metrics require Platt-transformed scores")
-        return decompose_psr(
-            self.scores,
-            self.labels,
-            self.records.platt_scores[self.idx],
-            self.cfg.clip_epsilon,
-        )
+    def pr_auc(self) -> float:
+        return discrimination.pr_auc(self.scores, self.labels)
+
+    def _mean(self, table: np.ndarray) -> float:
+        """Mean of a per-record table of the run over the cell's records."""
+        return float(np.mean(table[self.idx]))
+
+    @cached_property
+    def cross_entropy(self) -> float:
+        return -self._mean(self.records.log_likelihood)
+
+    @cached_property
+    def brier(self) -> float:
+        return self._mean(self.records.squared_error)
+
+    @property
+    def platt_cross_entropy(self) -> float:
+        return -self._mean(self.records.platt_log_likelihood)
+
+    @property
+    def platt_brier(self) -> float:
+        return self._mean(self.records.platt_squared_error)
 
 
 # metric name -> value on a cell; each entry picks what its estimator needs
-# from the cell, so binnings and the decomposition are built once per cell and
-# shared by the metrics that read them
+# from the cell, so binnings, the PR area and the proper scoring rules are
+# computed once per cell and shared by the metrics that read them. The scoring
+# rules are means over the run's per-record tables gathered at the cell's
+# indices: the same element-wise values as the estimators compute on the
+# gathered scores, summed in the same record order, so the same bytes.
 _METRICS = {
     "auc_roc": lambda c: discrimination.roc_auc(c.scores, c.labels),
-    "auc_pr": lambda c: discrimination.pr_auc(c.scores, c.labels),
-    "auc_prg": lambda c: discrimination.pr_auc_gain(c.scores, c.labels),
+    "auc_pr": lambda c: c.pr_auc,
+    "auc_prg": lambda c: discrimination._normalized_ap(c.pr_auc, c.labels),
     "balanced_accuracy": lambda c: discrimination.balanced_accuracy(
         c.scores, c.labels, c.cfg.threshold
     ),
     "ece": lambda c: calibration._ece(c.equal_width),
     "mce": lambda c: calibration._mce(c.equal_width),
     "ada_ece": lambda c: calibration._ece(c.equal_count),
-    "cross_entropy": lambda c: calibration.cross_entropy(
-        c.scores, c.labels, c.cfg.clip_epsilon
-    ),
-    "brier": lambda c: calibration.brier(c.scores, c.labels),
-    "delta_ce": lambda c: c.decomposition.delta_ce,
-    "delta_brier": lambda c: c.decomposition.delta_brier,
+    "cross_entropy": lambda c: c.cross_entropy,
+    "brier": lambda c: c.brier,
+    # the calibration parts, as decompose_psr defines them: raw minus Platt
+    "delta_ce": lambda c: c.cross_entropy - c.platt_cross_entropy,
+    "delta_brier": lambda c: c.brier - c.platt_brier,
 }
 
 
@@ -457,18 +506,17 @@ def _audit(
             try:
                 matched_idx = _match_group_indices(run.test, majority, minority, match_seed)
             except ValueError as exc:
-                for m in cfg.metrics:
-                    for s in sources:
-                        series[m][s].append(math.nan)
+                # only the matched series goes missing; both groups are still evaluated
                 notes.append(f"run {run.run_index}: {exc}")
-                continue
-            match_seeds.append({"run": run.run_index, "seed": match_seed})
+            else:
+                match_seeds.append({"run": run.run_index, "seed": match_seed})
         for s, tag in sources.items():
             idx = matched_idx if tag is None else np.flatnonzero(run.test.groups == tag)
-            if idx.size == 0:
+            if idx is None or idx.size == 0:
                 for m in cfg.metrics:
                     series[m][s].append(math.nan)
-                notes.append(f"run {run.run_index}: {label(s)} absent from test set")
+                if idx is not None:
+                    notes.append(f"run {run.run_index}: {label(s)} absent from test set")
                 continue
             values, errors = _metric_values(cfg.metrics, records, idx)
             for m in cfg.metrics:

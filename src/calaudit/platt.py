@@ -41,14 +41,16 @@ class DecompositionResult:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    With ``e = exp(-|z|)`` this is ``1 / (1 + e)`` for ``z >= 0`` and
+    ``e / (1 + e)`` below: per element the same expression as evaluating
+    ``1 / (1 + exp(-z))`` and ``exp(z) / (1 + exp(z))`` on the two halves
+    separately, from one ``exp`` that cannot overflow.
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def to_llr(
@@ -61,9 +63,12 @@ def to_llr(
     return np.log(s) - np.log1p(-s)
 
 
-def _log_likelihood(x: np.ndarray, y: np.ndarray, a: float, b: float) -> float:
+def _log_likelihood(
+    x: np.ndarray, y: np.ndarray, a: float, b: float
+) -> tuple[float, np.ndarray]:
+    """The log-likelihood at (a, b), and the ``z = a * x + b`` it was taken at."""
     z = a * x + b
-    return float(np.sum(y * z - np.logaddexp(0.0, z)))
+    return float(np.sum(y * z - np.logaddexp(0.0, z))), z
 
 
 def _separable(x: np.ndarray, y: np.ndarray) -> bool:
@@ -98,12 +103,14 @@ def fit_platt(
         raise ValueError("fit_platt needs both label classes present")
 
     separable = _separable(x, y)
+    xx = x * x
     a, b = 1.0, 0.0
-    ll = _log_likelihood(x, y, a, b)
+    # z is always a * x + b at the current (a, b): the line search returns the
+    # z it accepted, computed from the same floats as the updated a and b
+    ll, z = _log_likelihood(x, y, a, b)
     iterations = 0
     gradient_norm = np.inf
     for _ in range(max_iterations):
-        z = a * x + b
         p = sigmoid(z)
         residual = y - p
         g_a = float(residual @ x)
@@ -112,7 +119,7 @@ def fit_platt(
         if gradient_norm <= tolerance and not separable:
             break
         w = p * (1.0 - p)
-        h_aa = float(w @ (x * x))
+        h_aa = float(w @ xx)
         h_ab = float(w @ x)
         h_bb = float(w.sum())
         det = h_aa * h_bb - h_ab * h_ab
@@ -128,20 +135,19 @@ def fit_platt(
         # resolution of the summed log-likelihood; treat such steps as flat
         slack = 1e-10 * (1.0 + abs(ll))
         step = 1.0
-        new_ll = _log_likelihood(x, y, a + da, b + db)
+        new_ll, new_z = _log_likelihood(x, y, a + da, b + db)
         halvings = 0
         while new_ll < ll - slack and halvings < 60:
             step *= 0.5
             halvings += 1
-            new_ll = _log_likelihood(x, y, a + step * da, b + step * db)
+            new_ll, new_z = _log_likelihood(x, y, a + step * da, b + step * db)
         if new_ll < ll - slack:
             break
         a += step * da
         b += step * db
-        ll = new_ll
+        ll, z = new_ll, new_z
         iterations += 1
     else:
-        z = a * x + b
         residual = y - sigmoid(z)
         gradient_norm = max(abs(float(residual @ x)), abs(float(residual.sum())))
 

@@ -39,9 +39,9 @@ def midranks(values: np.ndarray) -> np.ndarray:
     order = np.argsort(v, kind="stable")
     sv = v[order]
     n = sv.size
-    block_start = np.r_[True, sv[1:] != sv[:-1]]
+    block_start = np.concatenate(([True], sv[1:] != sv[:-1]))
     starts = np.flatnonzero(block_start)
-    ends = np.r_[starts[1:], n]
+    ends = np.append(starts[1:], n)
     avg = (starts + ends - 1) / 2.0 + 1.0
     ranks = np.empty(n, dtype=np.float64)
     ranks[order] = np.repeat(avg, ends - starts)

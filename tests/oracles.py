@@ -186,3 +186,15 @@ def quantiles_by_hand(values, ps) -> list[float]:
         hi = min(lo + 1, n - 1)
         out.append(v[lo] + (h - lo) * (v[hi] - v[lo]))
     return out
+
+
+def sigmoid_two_branch(z) -> np.ndarray:
+    """The logistic function evaluated separately on each sign of z:
+    ``1 / (1 + exp(-z))`` where z >= 0 and ``exp(z) / (1 + exp(z))`` elsewhere."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out

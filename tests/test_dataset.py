@@ -63,6 +63,36 @@ class TestScoreSet:
             with pytest.raises(ValueError):
                 getattr(sub, name)[0] = getattr(sub, name)[1]
 
+    def test_default_ids_render_after_two_takes(self):
+        n = 12
+        s = ScoreSet(scores=np.linspace(0.0, 1.0, n), labels=np.arange(n) % 2)
+        i = np.array([1, 3, 4, 7, 9, 10, 11])
+        j = np.array([0, 2, 5, 6])
+        taken = s.take(i).take(j)
+        expected = np.arange(n).astype(str)[i][j]
+        ids = taken.sample_ids
+        np.testing.assert_array_equal(ids, expected)
+        assert ids.dtype == expected.dtype and ids.dtype.kind == "U"
+        assert not ids.flags.writeable
+        buffer = io.StringIO()
+        write_scoreset_csv(taken, buffer)
+        assert buffer.getvalue() == (
+            "sample_id,score,label,group\n"
+            "1,0.09090909090909091,1,unknown\n"
+            "4,0.36363636363636365,0,unknown\n"
+            "10,0.9090909090909092,0,unknown\n"
+            "11,1.0,1,unknown\n"
+        )
+
+    @pytest.mark.parametrize("ids", [["b7", "a", "zz"], [5, 60, 7]])
+    def test_explicit_ids_stored_as_given_strings(self, ids):
+        s = ScoreSet(scores=np.array([0.1, 0.5, 0.9]), labels=np.array([0, 1, 1]), sample_ids=ids)
+        expected = np.array(ids, dtype=str)
+        assert s.sample_ids.dtype == expected.dtype
+        np.testing.assert_array_equal(s.sample_ids, expected)
+        assert not s.sample_ids.flags.writeable
+        np.testing.assert_array_equal(s.take(np.array([2, 0])).sample_ids, expected[[2, 0]])
+
     def test_take_equals_a_fresh_scoreset(self):
         s = ScoreSet(
             scores=np.array([0.1, 0.2, 0.3, 0.4]),

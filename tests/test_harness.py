@@ -40,7 +40,7 @@ from calaudit import (
 )
 from calaudit.calibration import _equal_count_bins
 from calaudit.dataset import _match_group_indices
-from calaudit.harness import _Records
+from calaudit.harness import _Records, _metric_values
 
 import oracles
 from helpers import calibrated_scoreset
@@ -267,6 +267,9 @@ class TestSizeMatchedAudit:
 
     def test_group_audit_is_the_naive_arm(self):
         runs = _two_group_runs(305, n_runs=8, group_sizes=(500, 50))
+        # in one more run the minority outnumbers the majority, so it cannot be matched
+        swapped = _two_group_runs(306, n_runs=1, group_sizes=(30, 70))[0]
+        runs.append(AuditRun(8, swapped.validation, swapped.test))
         cfg = AuditConfig(metrics=("ece", "auc_roc", "delta_brier"), seed=6)
         group = run_group_audit(runs, cfg)
         matched = run_size_matched_audit(runs, cfg)
@@ -277,6 +280,13 @@ class TestSizeMatchedAudit:
                 group.tests[metric]["majority_vs_minority"]
                 == matched.tests[metric]["naive"]
             )
+            assert not math.isnan(matched.series[metric]["minority"][8])
+            assert math.isnan(matched.series[metric]["majority_matched"][8])
+        assert (
+            "run 8: group 'g_small' is larger than 'g_big'; swap the arguments"
+            in matched.provenance["notes"]
+        )
+        assert [s["run"] for s in matched.provenance["match_seeds"]] == list(range(8))
 
 
 FIT_FAILURE = "fit_platt needs both label classes present"
@@ -523,6 +533,16 @@ class TestCellKernel:
         assert membership.tolist() == oracles.equal_count_membership(
             scores[idx].tolist(), n_bins
         )
+
+    def test_loss_tables_built_only_for_the_metrics_that_read_them(self):
+        s = calibrated_scoreset(60, seed=2)
+        records = _Records(s.scores, s.labels, None, AuditConfig())
+        tables = {"log_likelihood", "squared_error", "platt_log_likelihood",
+                  "platt_squared_error"}
+        _metric_values(("ece", "auc_pr"), records, np.arange(s.n))
+        assert not tables & set(vars(records))
+        _metric_values(("cross_entropy", "brier", "delta_ce"), records, np.arange(s.n))
+        assert tables & set(vars(records)) == {"log_likelihood", "squared_error"}
 
     @settings(database=None, deadline=None, max_examples=40)
     @given(_tied_records(), st.integers(1, 6), st.integers(0, 2**16))

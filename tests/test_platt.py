@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calaudit import (
     apply_platt,
@@ -16,7 +18,27 @@ from calaudit import (
 )
 from calaudit.platt import PlattParams
 
+import oracles
 from helpers import calibrated_scoreset, make_scoreset
+
+# signed zeros, values where exp under- or overflows, and subnormals
+_EDGE_Z = (
+    0.0, -0.0, 800.0, -800.0, 709.8, -709.8, 745.2, -745.2,
+    5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, np.inf, -np.inf,
+)
+
+
+@settings(database=None, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(_EDGE_Z), st.floats(allow_nan=False)),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_sigmoid_equals_the_two_branch_form(values):
+    z = np.array(values)
+    assert sigmoid(z).tobytes() == oracles.sigmoid_two_branch(z).tobytes()
 
 
 class TestToLlr:
@@ -86,6 +108,40 @@ class TestFitPlatt:
     def test_non_finite_llrs_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             fit_platt(np.array([0.0, np.inf]), np.array([0, 1]))
+
+
+def _golden_fit_input(name):
+    if name == "calibrated":
+        rng = np.random.default_rng(20231)
+        scores = rng.random(4000)
+        return to_llr(scores), rng.binomial(1, scores)
+    if name == "distorted":
+        rng = np.random.default_rng(20232)
+        llrs = to_llr(rng.random(4000))
+        return llrs, rng.binomial(1, 1.0 / (1.0 + np.exp(-(2.5 * llrs - 0.75))))
+    return np.full(100, 0.7), np.array([1] * 30 + [0] * 70)
+
+
+# (repr(a), repr(b), iterations, repr(final_gradient_norm), converged), as the
+# fit gave them with the two-branch sigmoid and a z recomputed every iteration
+_GOLDEN_FITS = {
+    "calibrated": ("0.9914549212465287", "0.011679524226005114", 3, "5.1514348342607263e-14", True),
+    "distorted": ("2.346542585457911", "-0.6716440110517925", 6, "1.609379296496627e-12", True),
+    "constant": ("0.27308156492705626", "-1.0384549558356337", 4, "1.0685785589714669e-11", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_FITS))
+def test_fit_platt_golden_params(name):
+    params = fit_platt(*_golden_fit_input(name))
+    got = (
+        repr(params.a),
+        repr(params.b),
+        params.iterations,
+        repr(params.final_gradient_norm),
+        params.converged,
+    )
+    assert got == _GOLDEN_FITS[name]
 
 
 class TestApplyPlatt:
