@@ -1,4 +1,4 @@
-"""Bin-based calibration errors, proper scoring rules, and reliability curves.
+"""Bin-based calibration errors and proper scoring rules.
 
 Every estimator takes a set's ``scores`` and ``labels`` as arrays, as a
 :class:`~calaudit.dataset.ScoreSet` holds them: non-empty, of equal length,
@@ -8,11 +8,8 @@ scores in [0, 1] and labels 0 or 1. They are not checked again here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
-
-from .dataset import _write_csv
 
 EQUAL_WIDTH = "equal_width"
 EQUAL_COUNT = "equal_count"
@@ -23,57 +20,25 @@ DEFAULT_CLIP_EPSILON = 1e-7
 
 @dataclass(frozen=True)
 class Binning:
-    """Bin boundaries over [0, 1] plus the bin index of every sample.
+    """The bin index of every sample, under ``scheme`` with ``n_bins`` bins.
 
-    ``membership`` is authoritative: for equal-count binning samples are
-    assigned by stable-sorted position, so tied scores may straddle a
-    boundary and the boundary values are descriptive quantile markers only.
+    Equal-width bins are right-closed at ``i / n_bins`` (bin 0 also holds 0).
+    Equal-count bins follow each sample's position in the stable sort of the
+    scores, so tied scores may fall into different bins.
     """
 
     scheme: str
     n_bins: int
-    boundaries: np.ndarray
     membership: np.ndarray
 
     def __post_init__(self) -> None:
         if self.scheme not in (EQUAL_WIDTH, EQUAL_COUNT):
             raise ValueError(f"unknown binning scheme {self.scheme!r}")
-        boundaries = np.array(self.boundaries, dtype=np.float64, copy=True).reshape(-1)
         membership = np.array(self.membership, dtype=np.int64, copy=True).reshape(-1)
-        if boundaries.size != self.n_bins + 1:
-            raise ValueError("boundaries must have n_bins + 1 entries")
-        if boundaries[0] != 0.0 or boundaries[-1] != 1.0:
-            raise ValueError("boundaries must span [0, 1]")
-        if np.any(np.diff(boundaries) <= 0.0):
-            raise ValueError("boundaries must be strictly ascending")
         if membership.min() < 0 or membership.max() >= self.n_bins:
             raise ValueError("membership indices out of range")
-        boundaries.setflags(write=False)
         membership.setflags(write=False)
-        object.__setattr__(self, "boundaries", boundaries)
         object.__setattr__(self, "membership", membership)
-
-
-@dataclass(frozen=True)
-class ReliabilityPoint:
-    bin_index: int
-    mean_score: float
-    positive_rate: float
-    count: int
-
-
-def _strictly_ascending(boundaries: np.ndarray) -> np.ndarray:
-    # nudge interior markers by ulps when ties collapse adjacent quantiles
-    b = boundaries.copy()
-    for i in range(b.size - 2, 0, -1):
-        if b[i] >= b[i + 1]:
-            b[i] = np.nextafter(b[i + 1], -np.inf)
-    for i in range(1, b.size - 1):
-        if b[i] <= b[i - 1]:
-            b[i] = np.nextafter(b[i - 1], np.inf)
-    if np.any(np.diff(b) <= 0.0):
-        raise ValueError("cannot derive strictly ascending bin boundaries")
-    return b
 
 
 def _equal_width_bins(scores: np.ndarray, n_bins: int) -> np.ndarray:
@@ -101,29 +66,20 @@ def bin_scores(
 ) -> Binning:
     """Assign every sample to one of ``n_bins`` bins.
 
-    equal_width: boundaries at i/n_bins, bins right-closed except the first,
-    which also contains 0. equal_count: samples are stable-sorted by score and
-    split into contiguous runs whose sizes differ by at most one (larger runs
-    first); boundaries sit midway between adjacent run endpoints.
+    equal_width: bins right-closed at i/n_bins, except the first, which also
+    contains 0. equal_count: samples are stable-sorted by score and split into
+    contiguous runs whose sizes differ by at most one (larger runs first).
     """
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     scores = np.asarray(scores, dtype=np.float64)
     if scheme == EQUAL_WIDTH:
-        boundaries = np.linspace(0.0, 1.0, n_bins + 1)
-        return Binning(EQUAL_WIDTH, n_bins, boundaries, _equal_width_bins(scores, n_bins))
+        return Binning(EQUAL_WIDTH, n_bins, _equal_width_bins(scores, n_bins))
     if scheme == EQUAL_COUNT:
         n = scores.size
-        by_position = _equal_count_bins(np.arange(n), n_bins)
-        order = np.argsort(scores, kind="stable")
         membership = np.empty(n, dtype=np.int64)
-        membership[order] = by_position
-        sorted_scores = scores[order]
-        edges = np.flatnonzero(np.diff(by_position)) + 1
-        interior = (sorted_scores[edges - 1] + sorted_scores[edges]) / 2.0
-        interior = np.clip(interior, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-        boundaries = _strictly_ascending(np.concatenate([[0.0], interior, [1.0]]))
-        return Binning(EQUAL_COUNT, n_bins, boundaries, membership)
+        membership[np.argsort(scores, kind="stable")] = _equal_count_bins(np.arange(n), n_bins)
+        return Binning(EQUAL_COUNT, n_bins, membership)
     raise ValueError(f"unknown binning scheme {scheme!r}")
 
 
@@ -214,31 +170,3 @@ def cross_entropy(
 def brier(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mean squared difference between score and label."""
     return float(np.mean(_squared_errors(scores, labels)))
-
-
-def reliability_curve(
-    scores: np.ndarray, labels: np.ndarray, binning: Binning
-) -> list[ReliabilityPoint]:
-    """One (mean score, positive rate) point per non-empty bin, ordered by bin."""
-    counts, score_sums, label_sums = _binned_stats(scores, labels, binning)
-    points = []
-    for b in range(binning.n_bins):
-        if counts[b] == 0:
-            continue
-        points.append(
-            ReliabilityPoint(
-                bin_index=b,
-                mean_score=float(score_sums[b] / counts[b]),
-                positive_rate=float(label_sums[b] / counts[b]),
-                count=int(counts[b]),
-            )
-        )
-    return points
-
-
-def write_reliability_csv(points: list[ReliabilityPoint], dest: str | IO[str]) -> None:
-    _write_csv(
-        dest,
-        ("bin_index", "mean_score", "positive_rate", "count"),
-        ([p.bin_index, str(p.mean_score), str(p.positive_rate), p.count] for p in points),
-    )

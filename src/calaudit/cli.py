@@ -7,20 +7,10 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import harness
 from .calibration import DEFAULT_CLIP_EPSILON, DEFAULT_N_BINS
 from .dataset import ScoreSetFormatError, _write_json, load_scoreset
-from .harness import (
-    AuditConfig,
-    AuditRun,
-    CALIBRATION_METRICS,
-    DEFAULT_RATIOS,
-    DEFAULT_SEED,
-    DISCRIMINATION_METRICS,
-    SWEEP_METRICS,
-)
+from .harness import AuditConfig, AuditRun, DEFAULT_RATIOS, DEFAULT_SEED, SWEEP_METRICS
 from .synthetic import SyntheticScenario
 
 
@@ -167,32 +157,15 @@ def _config(args: argparse.Namespace, **fields) -> AuditConfig:
     )
 
 
-def _metric_block(records: harness._Records, idx: np.ndarray) -> dict:
-    names = DISCRIMINATION_METRICS + CALIBRATION_METRICS
-    values, errors = harness._metric_values(names, records, idx)
-    return {
-        "n": int(idx.size),
-        "prevalence": float(records.labels[idx].mean()),
-        "metrics": {m: harness._clean(v) for m, v in values.items()},
-        "errors": dict(e.split(": ", 1) for e in errors),
-    }
-
-
 def cmd_metrics(args: argparse.Namespace) -> None:
     cfg = _config(args)
     scoreset = load_scoreset(args.input)
-    records = harness._Records(scoreset.scores, scoreset.labels, None, cfg)
     payload = {
         "command": "metrics",
         "input": str(args.input),
         "config": _config_echo(cfg),
-        "overall": _metric_block(records, np.arange(scoreset.n)),
+        **harness.evaluate_scoreset(scoreset, cfg, args.by_group),
     }
-    if args.by_group:
-        payload["groups"] = {
-            tag: _metric_block(records, np.flatnonzero(scoreset.groups == tag))
-            for tag in sorted(scoreset.group_counts())
-        }
     _write_json(payload, args.output)
 
 
@@ -222,9 +195,13 @@ def _load_manifest(path: str) -> list[AuditRun]:
                     f"{path} line {line}: duplicate run_index {run_index}"
                 )
             seen.add(run_index)
-            validation = load_scoreset(str(base / (row["validation_csv_path"] or "").strip()))
-            test = load_scoreset(str(base / (row["test_csv_path"] or "").strip()))
-            runs.append(AuditRun(run_index=run_index, validation=validation, test=test))
+            sets = []
+            for column in ("validation_csv_path", "test_csv_path"):
+                name = (row[column] or "").strip()
+                if not name:
+                    raise ScoreSetFormatError(f"{path} line {line}: {column} is empty")
+                sets.append(load_scoreset(str(base / name)))
+            runs.append(AuditRun(run_index, *sets))
     if not runs:
         raise ScoreSetFormatError(f"{path}: manifest has no runs")
     return runs

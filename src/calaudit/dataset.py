@@ -52,14 +52,15 @@ class _SampleIds:
         object.__setattr__(obj, "_ids", value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreSet:
     """Immutable evaluation population: probability scores, binary labels, group tags.
 
     ``sample_ids`` default to the record index (as strings, rendered when first
     read) and ``groups`` default to :data:`UNKNOWN_GROUP`. Arrays are copied
     and marked read-only, so instances are safe to share across concurrent
-    evaluation tasks.
+    evaluation tasks. Sets compare and hash by identity, as arrays have no
+    single truth value to compare by.
     """
 
     scores: np.ndarray
@@ -96,9 +97,6 @@ class ScoreSet:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def __len__(self) -> int:
-        return int(self.scores.size)
-
     @property
     def n(self) -> int:
         return int(self.scores.size)
@@ -123,22 +121,6 @@ class ScoreSet:
             column.setflags(write=False)
             object.__setattr__(subset, name, column)
         return subset
-
-    def with_scores(self, scores: np.ndarray) -> "ScoreSet":
-        """Return a copy with ``scores`` replaced (e.g. after recalibration)."""
-        return ScoreSet(
-            scores=scores,
-            labels=self.labels,
-            sample_ids=self.sample_ids,
-            groups=self.groups,
-        )
-
-    def filter_group(self, tag: str) -> "ScoreSet":
-        """Return the records whose group equals ``tag``."""
-        idx = np.flatnonzero(self.groups == tag)
-        if idx.size == 0:
-            raise ValueError(f"group {tag!r} has no records")
-        return self.take(idx)
 
     def group_counts(self) -> dict[str, int]:
         tags, counts = np.unique(self.groups, return_counts=True)
@@ -275,14 +257,15 @@ def subsample_indices(labels: np.ndarray, fraction: float, seed: Seed) -> np.nda
     return idx
 
 
-def subsample(scoreset: ScoreSet, fraction: float, seed: Seed) -> ScoreSet:
-    """Uniform without-replacement subsample; identity when ``fraction`` is 1."""
-    return scoreset.take(subsample_indices(scoreset.labels, fraction, seed))
-
-
 def _match_group_indices(
     scoreset: ScoreSet, majority: str, minority: str, seed: Seed
 ) -> np.ndarray:
+    """Sorted indices of a subsample of the majority group, of the minority
+    group's size.
+
+    Sampling is stratified by label so the majority's prevalence is preserved
+    within one sample per class.
+    """
     groups = scoreset.groups
     maj_idx = np.flatnonzero(groups == majority)
     min_idx = np.flatnonzero(groups == minority)
@@ -310,14 +293,3 @@ def _match_group_indices(
     if n_neg:
         parts.append(rng.choice(neg, size=n_neg, replace=False))
     return np.sort(np.concatenate(parts))
-
-
-def match_group_size(
-    scoreset: ScoreSet, majority: str, minority: str, seed: Seed
-) -> ScoreSet:
-    """Subsample the majority group down to the minority group's size.
-
-    Sampling is stratified by label so the majority's prevalence is preserved
-    within one sample per class. Returns only the subsampled majority records.
-    """
-    return scoreset.take(_match_group_indices(scoreset, majority, minority, seed))

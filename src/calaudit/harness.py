@@ -393,6 +393,39 @@ def _metric_values(
     return values, errors
 
 
+def _metric_block(records: _Records, idx: np.ndarray) -> dict:
+    values, errors = _metric_values(
+        DISCRIMINATION_METRICS + CALIBRATION_METRICS, records, idx
+    )
+    return {
+        "n": int(idx.size),
+        "prevalence": float(records.labels[idx].mean()),
+        "metrics": {m: _clean(v) for m, v in values.items()},
+        "errors": dict(e.split(": ", 1) for e in errors),
+    }
+
+
+def evaluate_scoreset(
+    scoreset: ScoreSet, config: AuditConfig | None = None, by_group: bool = False
+) -> dict:
+    """Every discrimination and calibration metric of one set, as the JSON
+    blocks of ``calaudit metrics``: ``overall`` over all records and, with
+    ``by_group``, ``groups`` with one block per group tag.
+
+    A block holds ``n``, ``prevalence``, ``metrics`` (``None`` where a metric
+    is undefined) and ``errors`` (metric name -> reason).
+    """
+    cfg = config if config is not None else AuditConfig()
+    records = _Records(scoreset.scores, scoreset.labels, None, cfg)
+    blocks = {"overall": _metric_block(records, np.arange(scoreset.n))}
+    if by_group:
+        blocks["groups"] = {
+            tag: _metric_block(records, np.flatnonzero(scoreset.groups == tag))
+            for tag in sorted(scoreset.group_counts())
+        }
+    return blocks
+
+
 def _fit_run_calibrator(
     run: AuditRun, cfg: AuditConfig, notes: list[str]
 ) -> tuple[dict, _Records]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class SyntheticPopulation:
 
     true_posteriors: np.ndarray
     labels: np.ndarray
-    seed: int | tuple[int, ...]
 
     def __post_init__(self) -> None:
         p = np.array(self.true_posteriors, dtype=np.float64, copy=True).reshape(-1)
@@ -142,29 +141,6 @@ def regularized_incomplete_beta(
     return out.reshape(np.shape(x))
 
 
-def inverse_beta_cdf(
-    q: float | np.ndarray, alpha: float, beta: float, tolerance: float = 1e-10
-) -> float | np.ndarray:
-    """Inverse of :func:`regularized_incomplete_beta` in x, by bisection."""
-    scalar = np.isscalar(q) or np.ndim(q) == 0
-    qa = np.asarray(q, dtype=np.float64).reshape(-1)
-    if qa.size and (qa.min() < 0.0 or qa.max() > 1.0):
-        raise ValueError("q must lie in [0, 1]")
-    lo = np.zeros_like(qa)
-    hi = np.ones_like(qa)
-    for _ in range(60):
-        if float(np.max(hi - lo)) <= tolerance:
-            break
-        mid = 0.5 * (lo + hi)
-        below = np.asarray(regularized_incomplete_beta(mid, alpha, beta)) < qa
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out = 0.5 * (lo + hi)
-    if scalar:
-        return float(out[0])
-    return out.reshape(np.shape(q))
-
-
 def generate_population(n: int, seed: Seed) -> SyntheticPopulation:
     """Draw posteriors p ~ Uniform(0, 1) and labels ~ Bernoulli(p), i.i.d."""
     if n < 2:
@@ -172,8 +148,7 @@ def generate_population(n: int, seed: Seed) -> SyntheticPopulation:
     rng = np.random.default_rng(seed)
     posteriors = rng.random(n)
     labels = rng.binomial(1, posteriors)
-    stored = tuple(int(s) for s in seed) if not isinstance(seed, (int, np.integer)) else int(seed)
-    return SyntheticPopulation(true_posteriors=posteriors, labels=labels, seed=stored)
+    return SyntheticPopulation(true_posteriors=posteriors, labels=labels)
 
 
 def apply_miscalibration(

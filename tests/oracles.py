@@ -11,7 +11,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 
 def roc_auc_pairwise(scores, labels) -> float:
@@ -170,6 +170,21 @@ def beta_cdf_quadrature(x: float, alpha: float, beta: float) -> float:
 
     value, _ = integrate.quad(density, 0.0, x, epsabs=1e-12, epsrel=1e-12, limit=400)
     return value
+
+
+def inverse_beta_cdf(q, alpha: float, beta: float, tolerance: float = 1e-10):
+    """x with I_x(alpha, beta) = q, elementwise, by bisection on scipy's
+    regularized incomplete beta; a float for a scalar q."""
+    qa = np.asarray(q, dtype=np.float64)
+    lo = np.zeros_like(qa)
+    hi = np.ones_like(qa)
+    while float(np.max(hi - lo)) > tolerance:
+        mid = 0.5 * (lo + hi)
+        below = special.betainc(alpha, beta, mid) < qa
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    out = 0.5 * (lo + hi)
+    return float(out) if out.ndim == 0 else out
 
 
 def quantiles_by_hand(values, ps) -> list[float]:

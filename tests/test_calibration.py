@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -13,8 +12,6 @@ from calaudit import (
     cross_entropy,
     ece,
     mce,
-    reliability_curve,
-    write_reliability_csv,
 )
 
 import oracles
@@ -23,9 +20,12 @@ from helpers import calibrated_scoreset, make_scoreset
 
 class TestBinScores:
     def test_equal_width_boundaries(self):
-        s = calibrated_scoreset(50, seed=0)
+        # a score on a boundary i/10 closes bin i - 1; the next float opens bin i
+        edges = np.linspace(0, 1, 11)
+        above = np.nextafter(edges[:-1], 1.0)
+        s = make_scoreset(np.concatenate([edges, above]), [0] * 21)
         binning = bin_scores(s.scores, EQUAL_WIDTH, 10)
-        np.testing.assert_allclose(binning.boundaries, np.linspace(0, 1, 11))
+        assert list(binning.membership) == [0, *range(10), *range(10)]
 
     def test_equal_width_right_closed(self):
         s = make_scoreset([0.0, 0.1, 0.15, 1.0], [0, 1, 0, 1])
@@ -58,11 +58,10 @@ class TestBinScores:
         with pytest.raises(ValueError, match="at least"):
             bin_scores(s.scores, EQUAL_COUNT, 10)
 
-    def test_boundaries_strictly_ascending_under_ties(self):
+    def test_equal_count_splits_tied_scores_by_position(self):
         s = make_scoreset([0.7] * 20, [0, 1] * 10)
         binning = bin_scores(s.scores, EQUAL_COUNT, 4)
-        assert np.all(np.diff(binning.boundaries) > 0)
-        assert binning.boundaries[0] == 0.0 and binning.boundaries[-1] == 1.0
+        assert list(binning.membership) == [0] * 5 + [1] * 5 + [2] * 5 + [3] * 5
 
     def test_bad_scheme(self):
         s = calibrated_scoreset(10, seed=5)
@@ -85,7 +84,7 @@ class TestEce:
             s = calibrated_scoreset(int(rng.integers(20, 400)), seed=trial)
             binning = bin_scores(s.scores, EQUAL_WIDTH, 15)
             members = oracles.equal_width_membership(
-                list(s.scores), list(binning.boundaries)
+                list(s.scores), list(np.linspace(0, 1, 16))
             )
             assert members == list(binning.membership)
             expected_ece, expected_mce = oracles.calibration_gaps(
@@ -228,33 +227,3 @@ class TestSampleSizeBehaviour:
             a, b = small[:, column], large[:, column]
             spread = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
             assert abs(a.mean() - b.mean()) < 3 * spread
-
-
-class TestReliabilityCurve:
-    def test_single_bin_point(self):
-        s = make_scoreset([0.2, 0.4, 0.3], [1, 0, 1])
-        points = reliability_curve(s.scores, s.labels, bin_scores(s.scores, EQUAL_COUNT, 1))
-        assert len(points) == 1
-        assert points[0].mean_score == pytest.approx(0.3)
-        assert points[0].positive_rate == pytest.approx(2.0 / 3.0)
-        assert points[0].count == 3
-
-    def test_calibrated_points_near_diagonal(self):
-        s = calibrated_scoreset(200_000, seed=12)
-        points = reliability_curve(s.scores, s.labels, bin_scores(s.scores, EQUAL_WIDTH, 10))
-        for p in points:
-            assert abs(p.positive_rate - p.mean_score) < 0.02
-
-    def test_empty_bins_excluded(self):
-        s = make_scoreset([0.05, 0.95], [0, 1])
-        points = reliability_curve(s.scores, s.labels, bin_scores(s.scores, EQUAL_WIDTH, 10))
-        assert [p.bin_index for p in points] == [0, 9]
-
-    def test_csv_schema(self):
-        s = make_scoreset([0.2, 0.8], [0, 1])
-        buffer = io.StringIO()
-        points = reliability_curve(s.scores, s.labels, bin_scores(s.scores, EQUAL_WIDTH, 2))
-        write_reliability_csv(points, buffer)
-        lines = buffer.getvalue().strip().splitlines()
-        assert lines[0] == "bin_index,mean_score,positive_rate,count"
-        assert len(lines) == 3

@@ -196,6 +196,19 @@ class TestAuditCommand:
         assert main(["audit", "--manifest", str(manifest), "--output", str(out)]) == 1
         assert "test_csv_path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, column",
+        [("0, ,test.csv", "validation_csv_path"), ("0,val.csv,", "test_csv_path")],
+    )
+    def test_blank_manifest_path_names_line_and_column(self, tmp_path, capsys, row, column):
+        _write_csv(tmp_path / "val.csv", calibrated_scoreset(20, seed=1))
+        _write_csv(tmp_path / "test.csv", calibrated_scoreset(20, seed=2))
+        manifest = tmp_path / "runs.csv"
+        manifest.write_text(f"run_index,validation_csv_path,test_csv_path\n{row}\n")
+        out = tmp_path / "report.json"
+        assert main(["audit", "--manifest", str(manifest), "--output", str(out)]) == 1
+        assert f"{manifest} line 2: {column} is empty" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_outputs_csv_and_summary(self, tmp_path):

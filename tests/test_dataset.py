@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calaudit import (
+    AuditRun,
     DegenerateSampleError,
     ScoreSet,
     ScoreSetFormatError,
-    UNKNOWN_GROUP,
     load_scoreset,
-    match_group_size,
-    subsample,
+    subsample_indices,
     write_scoreset_csv,
 )
+from calaudit.dataset import UNKNOWN_GROUP, _match_group_indices
 
 from helpers import calibrated_scoreset, make_scoreset
 
@@ -114,10 +114,12 @@ class TestScoreSet:
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
 
-    def test_with_scores_validates_range(self):
+    def test_compares_and_hashes_by_identity(self):
         s = make_scoreset([0.1, 0.2], [0, 1])
-        with pytest.raises(ValueError):
-            s.with_scores(np.array([0.5, 1.2]))
+        assert s == s
+        assert (s == s.take(np.arange(s.n))) is False
+        assert len({s, s, s.take(np.arange(s.n))}) == 2
+        assert len({AuditRun(0, s, s), AuditRun(1, s, s)}) == 2
 
 
 class TestLoadScoreset:
@@ -240,25 +242,25 @@ def test_score_csv_round_trip_property(s):
 class TestSubsample:
     def test_full_fraction_is_identity(self):
         s = calibrated_scoreset(50, seed=1)
-        again = subsample(s, 1.0, seed=4)
+        again = s.take(subsample_indices(s.labels, 1.0, 4))
         np.testing.assert_array_equal(again.scores, s.scores)
         np.testing.assert_array_equal(again.sample_ids, s.sample_ids)
 
     def test_ten_percent_of_20000(self):
         s = calibrated_scoreset(20_000, seed=2)
-        assert subsample(s, 0.1, seed=0).n == 2_000
+        assert s.take(subsample_indices(s.labels, 0.1, 0)).n == 2_000
 
     def test_different_seeds_differ(self):
         s = calibrated_scoreset(200, seed=3)
-        a = subsample(s, 0.5, seed=1)
-        b = subsample(s, 0.5, seed=2)
+        a = s.take(subsample_indices(s.labels, 0.5, 1))
+        b = s.take(subsample_indices(s.labels, 0.5, 2))
         assert a.n == b.n == 100
         assert set(a.sample_ids) != set(b.sample_ids)
 
     def test_same_seed_identical(self):
         s = calibrated_scoreset(200, seed=3)
-        a = subsample(s, 0.3, seed=11)
-        b = subsample(s, 0.3, seed=11)
+        a = s.take(subsample_indices(s.labels, 0.3, 11))
+        b = s.take(subsample_indices(s.labels, 0.3, 11))
         np.testing.assert_array_equal(a.sample_ids, b.sample_ids)
 
     def test_single_class_result_raises(self):
@@ -266,12 +268,12 @@ class TestSubsample:
         with pytest.raises(DegenerateSampleError):
             # 2-record draws from this set often lose the lone positive
             for seed in range(50):
-                subsample(s, 0.5, seed=seed)
+                s.take(subsample_indices(s.labels, 0.5, seed))
 
     def test_fraction_out_of_range(self):
         s = calibrated_scoreset(10, seed=0)
         with pytest.raises(ValueError, match="fraction"):
-            subsample(s, 0.0, seed=0)
+            s.take(subsample_indices(s.labels, 0.0, 0))
 
     def test_metric_equivalence_at_full_fraction(self):
         from calaudit import (
@@ -288,7 +290,7 @@ class TestSubsample:
         )
 
         s = calibrated_scoreset(400, seed=9)
-        t = subsample(s, 1.0, seed=123)
+        t = s.take(subsample_indices(s.labels, 1.0, 123))
         for metric in (roc_auc, pr_auc, pr_auc_gain, brier):
             assert metric(t.scores, t.labels) == metric(s.scores, s.labels)
         assert balanced_accuracy(t.scores, t.labels, 0.5) == balanced_accuracy(
@@ -309,7 +311,7 @@ class TestMatchGroupSize:
         rng = np.random.default_rng(0)
         groups = ["big"] * 400 + ["small"] * 20
         s = make_scoreset(rng.random(420), rng.integers(0, 2, 420), groups=groups)
-        matched = match_group_size(s, "big", "small", seed=0)
+        matched = s.take(_match_group_indices(s, "big", "small", 0))
         assert matched.n == 20
         assert set(matched.groups) == {"big"}
 
@@ -317,8 +319,8 @@ class TestMatchGroupSize:
         rng = np.random.default_rng(1)
         groups = ["big"] * 30 + ["small"] * 30
         s = make_scoreset(rng.random(60), rng.integers(0, 2, 60), groups=groups)
-        matched = match_group_size(s, "big", "small", seed=5)
-        big = s.filter_group("big")
+        matched = s.take(_match_group_indices(s, "big", "small", 5))
+        big = s.take(np.flatnonzero(s.groups == "big"))
         assert sorted(matched.sample_ids) == sorted(big.sample_ids)
 
     def test_prevalence_preserved_within_one(self):
@@ -326,7 +328,7 @@ class TestMatchGroupSize:
         labels = np.array([1] * 50 + [0] * 50 + list(rng.integers(0, 2, 20)))
         groups = ["big"] * 100 + ["small"] * 20
         s = make_scoreset(rng.random(120), labels, groups=groups)
-        matched = match_group_size(s, "big", "small", seed=3)
+        matched = s.take(_match_group_indices(s, "big", "small", 3))
         # majority prevalence is exactly 0.5, so 20 matched records hold 10 +/- 1
         assert matched.n == 20
         assert abs(int(matched.labels.sum()) - 10) <= 1
@@ -336,9 +338,9 @@ class TestMatchGroupSize:
         groups = ["big"] * 40 + ["small"] * 10
         s = make_scoreset(rng.random(50), rng.integers(0, 2, 50), groups=groups)
         with pytest.raises(ValueError, match="swap"):
-            match_group_size(s, "small", "big", seed=0)
+            s.take(_match_group_indices(s, "small", "big", 0))
 
     def test_absent_group(self):
         s = make_scoreset([0.1, 0.9], [0, 1], groups=["big", "big"])
         with pytest.raises(ValueError, match="no records"):
-            match_group_size(s, "big", "small", seed=0)
+            s.take(_match_group_indices(s, "big", "small", 0))

@@ -136,15 +136,13 @@ class TestMonotoneInvariance:
     def test_increasing_transform_preserves_everything(self):
         s = calibrated_scoreset(300, seed=8)
         # strictly increasing map that fixes 0.5
-        transformed = s.with_scores(np.clip(0.5 + 0.4 * (s.scores - 0.5) ** 3 / 0.125, 0, 1))
+        transformed = np.clip(0.5 + 0.4 * (s.scores - 0.5) ** 3 / 0.125, 0, 1)
         for metric in (roc_auc, pr_auc, pr_auc_gain):
-            assert metric(transformed.scores, transformed.labels) == pytest.approx(
+            assert metric(transformed, s.labels) == pytest.approx(
                 metric(s.scores, s.labels), abs=1e-12
             )
-        np.testing.assert_array_equal(
-            transformed.scores >= 0.5, s.scores >= 0.5
+        np.testing.assert_array_equal(transformed >= 0.5, s.scores >= 0.5)
+        assert balanced_accuracy(transformed, s.labels, 0.5) == balanced_accuracy(
+            s.scores, s.labels, 0.5
         )
-        assert balanced_accuracy(
-            transformed.scores, transformed.labels, 0.5
-        ) == balanced_accuracy(s.scores, s.labels, 0.5)
 

@@ -13,7 +13,6 @@ from calaudit import (
     AuditRun,
     DegenerateSampleError,
     ScoreSet,
-    SWEEP_METRICS,
     SyntheticScenario,
     ada_ece,
     apply_miscalibration,
@@ -40,7 +39,7 @@ from calaudit import (
 )
 from calaudit.calibration import _equal_count_bins
 from calaudit.dataset import _match_group_indices
-from calaudit.harness import _Records, _metric_values
+from calaudit.harness import SWEEP_METRICS, _Records, _metric_values
 
 import oracles
 from helpers import calibrated_scoreset

@@ -3,15 +3,9 @@
 import io
 import math
 
-from calaudit import (
-    AuditReport,
-    BoxplotSummary,
-    PairedTestResult,
-    SweepResult,
-    write_audit_json,
-    write_audit_metric_csvs,
-    write_sweep_csv,
-)
+from calaudit import write_audit_json, write_audit_metric_csvs, write_sweep_csv
+from calaudit.harness import AuditReport, SweepResult
+from calaudit.stats import BoxplotSummary, PairedTestResult
 
 _SUMMARY = BoxplotSummary(
     mean=0.1875, median=0.1875, q1=0.15625, q3=0.21875, iqr=0.0625, n=2

@@ -13,10 +13,9 @@ from calaudit import (
     pr_auc,
     pr_auc_gain,
     roc_auc,
-    sigmoid,
     to_llr,
 )
-from calaudit.platt import PlattParams
+from calaudit.platt import PlattParams, sigmoid
 
 import oracles
 from helpers import calibrated_scoreset, make_scoreset
@@ -159,9 +158,9 @@ class TestApplyPlatt:
     def test_positive_slope_preserves_discrimination(self):
         s = calibrated_scoreset(500, seed=4)
         params = PlattParams(a=1.7, b=-0.3, iterations=0, final_gradient_norm=0.0, converged=True)
-        transformed = s.with_scores(apply_platt(params, to_llr(s.scores)))
+        transformed = apply_platt(params, to_llr(s.scores))
         for metric in (roc_auc, pr_auc, pr_auc_gain):
-            assert metric(transformed.scores, transformed.labels) == pytest.approx(
+            assert metric(transformed, s.labels) == pytest.approx(
                 metric(s.scores, s.labels), abs=1e-12
             )
 

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from calaudit import (
-    InsufficientPairsError,
-    midranks,
-    summarize,
-    wilcoxon_signed_rank,
-)
+from calaudit import InsufficientPairsError, summarize, wilcoxon_signed_rank
+from calaudit.stats import midranks
 
 import oracles
 
