@@ -83,43 +83,37 @@ def bin_scores(
     raise ValueError(f"unknown binning scheme {scheme!r}")
 
 
-BinStats = tuple[np.ndarray, np.ndarray, np.ndarray]
+Gaps = tuple[np.ndarray, np.ndarray]
 
 
-def _bin_stats(
+def _bin_gaps(
     scores: np.ndarray, labels: np.ndarray, membership: np.ndarray, n_bins: int
-) -> BinStats:
-    """Per bin: record count, score sum and label sum, accumulated in record order."""
+) -> Gaps:
+    """Counts and |positive rate - mean score| of the non-empty bins, from
+    per-bin sums accumulated in record order."""
     counts = np.bincount(membership, minlength=n_bins)
     score_sums = np.bincount(membership, weights=scores, minlength=n_bins)
-    label_sums = np.bincount(
-        membership, weights=labels.astype(np.float64), minlength=n_bins
-    )
-    return counts, score_sums, label_sums
+    # bincount casts integer weights to float64, so labels need no copy
+    label_sums = np.bincount(membership, weights=labels, minlength=n_bins)
+    occupied = counts > 0
+    counts = counts[occupied]
+    return counts, np.abs(label_sums[occupied] - score_sums[occupied]) / counts
 
 
-def _binned_stats(scores, labels, binning: Binning) -> BinStats:
+def _binned_gaps(scores, labels, binning: Binning) -> Gaps:
     scores = np.asarray(scores, dtype=np.float64)
     if binning.membership.size != scores.size:
         raise ValueError("binning was built over a different sample set")
-    return _bin_stats(scores, np.asarray(labels), binning.membership, binning.n_bins)
+    return _bin_gaps(scores, np.asarray(labels), binning.membership, binning.n_bins)
 
 
-def _gaps(stats: BinStats) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and |positive rate - mean score| of the non-empty bins."""
-    counts, score_sums, label_sums = stats
-    occupied = counts > 0
-    gaps = np.abs(label_sums[occupied] - score_sums[occupied]) / counts[occupied]
-    return counts[occupied], gaps
+def _ece(gaps: Gaps) -> float:
+    counts, gap = gaps
+    return float(np.add.reduce(counts * gap) / np.add.reduce(counts))
 
 
-def _ece(stats: BinStats) -> float:
-    counts, gaps = _gaps(stats)
-    return float(np.sum(counts * gaps) / stats[0].sum())
-
-
-def _mce(stats: BinStats) -> float:
-    return float(_gaps(stats)[1].max())
+def _mce(gaps: Gaps) -> float:
+    return float(np.maximum.reduce(gaps[1]))
 
 
 def ece(scores: np.ndarray, labels: np.ndarray, binning: Binning) -> float:
@@ -128,12 +122,12 @@ def ece(scores: np.ndarray, labels: np.ndarray, binning: Binning) -> float:
     Confidence is the mean score within a bin, not the bin midpoint; empty
     bins contribute zero.
     """
-    return _ece(_binned_stats(scores, labels, binning))
+    return _ece(_binned_gaps(scores, labels, binning))
 
 
 def mce(scores: np.ndarray, labels: np.ndarray, binning: Binning) -> float:
     """Maximum calibration error over non-empty bins."""
-    return _mce(_binned_stats(scores, labels, binning))
+    return _mce(_binned_gaps(scores, labels, binning))
 
 
 def ada_ece(

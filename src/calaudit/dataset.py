@@ -78,7 +78,7 @@ class ScoreSet:
             raise ValueError("scores and labels must have equal length")
         if not np.all(np.isfinite(scores)) or scores.min() < 0.0 or scores.max() > 1.0:
             raise ValueError("scores must lie in [0, 1]")
-        if not np.isin(labels, (0, 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("labels must be 0 or 1")
 
         if self._ids is None:
@@ -258,17 +258,19 @@ def subsample_indices(labels: np.ndarray, fraction: float, seed: Seed) -> np.nda
 
 
 def _match_group_indices(
-    scoreset: ScoreSet, majority: str, minority: str, seed: Seed
+    labels: np.ndarray,
+    majority: str,
+    maj_idx: np.ndarray,
+    minority: str,
+    min_idx: np.ndarray,
+    seed: Seed,
 ) -> np.ndarray:
     """Sorted indices of a subsample of the majority group, of the minority
-    group's size.
+    group's size, from the sorted indices of each group's records.
 
     Sampling is stratified by label so the majority's prevalence is preserved
     within one sample per class.
     """
-    groups = scoreset.groups
-    maj_idx = np.flatnonzero(groups == majority)
-    min_idx = np.flatnonzero(groups == minority)
     for tag, idx in ((majority, maj_idx), (minority, min_idx)):
         if idx.size == 0:
             raise ValueError(f"group {tag!r} has no records")
@@ -277,7 +279,7 @@ def _match_group_indices(
             f"group {minority!r} is larger than {majority!r}; swap the arguments"
         )
     n_target = int(min_idx.size)
-    maj_labels = scoreset.labels[maj_idx]
+    maj_labels = labels[maj_idx]
     pos = maj_idx[maj_labels == 1]
     neg = maj_idx[maj_labels == 0]
     n_pos = int(round(n_target * pos.size / maj_idx.size))

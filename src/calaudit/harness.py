@@ -10,7 +10,11 @@ gathered ``scores[idx]``, ``labels[idx]`` and Platt scores; no ``ScoreSet`` is
 built per cell. Each run's test scores are stable-sorted once. That sort breaks
 ties by record index, and so does the stable sort of a sorted subset, so the
 run's order restricted to a cell is exactly the cell's own stable order, from
-which equal-count (AdaECE) bins are cut without a sort per cell. The records
+which equal-count (AdaECE) bins are cut without a sort per cell. The same
+order, scattered from those positions, is the cell's sorted view
+(``discrimination._Ranked``): its tie blocks and running count of positives
+give the ROC and PR areas and balanced accuracy, with the counts as exact
+integers and the rank sums in record order. The records
 themselves are never reordered: subsample seeds draw record indices, and each
 cell's bin sums accumulate in record-index order, because floating-point sums
 in another order could differ in the last digit and outputs are byte-identical
@@ -22,7 +26,10 @@ and Platt, each built once per run and only when a requested metric reads it.
 A cell's cross-entropy or Brier score is the mean of its gathered entries.
 That keeps the bytes: every entry is the value the estimator computes for
 that record on the cell's own arrays, and the gather lists them in the same
-record order, so ``np.mean`` adds the same numbers in the same order.
+record order, so the sum adds the same numbers in the same order. No
+reduction is batched across cells: a segmented sum (``np.add.reduceat``)
+adds sequentially, not pairwise as ``np.add.reduce`` does, and padding cells
+into rows changes the pairwise blocks, so either could change the last digit.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -232,6 +238,22 @@ def _record(result: BoxplotSummary | PairedTestResult | None) -> dict | None:
     return None if result is None else asdict(result)
 
 
+class _lazy:
+    """A method read as an attribute and computed on first read, like
+    ``functools.cached_property`` but without the lock that Python 3.11 takes
+    on every first read; a ``_Records`` or ``_Cell`` is private to one call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class _Records:
     """A run's test records as arrays, with what every cell over them shares.
@@ -245,27 +267,27 @@ class _Records:
     platt_scores: np.ndarray | None
     cfg: AuditConfig
 
-    @cached_property
+    @_lazy
     def equal_width(self) -> np.ndarray:
         """Every record's equal-width bin; a record's bin does not depend on its cell."""
         return calibration._equal_width_bins(self.scores, self.cfg.n_bins)
 
     # per-record loss tables (see the module docstring), each built on first use
-    @cached_property
+    @_lazy
     def log_likelihood(self) -> np.ndarray:
         return calibration._log_likelihoods(self.scores, self.labels, self.cfg.clip_epsilon)
 
-    @cached_property
+    @_lazy
     def squared_error(self) -> np.ndarray:
         return calibration._squared_errors(self.scores, self.labels)
 
-    @cached_property
+    @_lazy
     def platt_log_likelihood(self) -> np.ndarray:
         return calibration._log_likelihoods(
             self._platt_scores(), self.labels, self.cfg.clip_epsilon
         )
 
-    @cached_property
+    @_lazy
     def platt_squared_error(self) -> np.ndarray:
         return calibration._squared_errors(self._platt_scores(), self.labels)
 
@@ -274,7 +296,7 @@ class _Records:
             raise ValueError("delta metrics require Platt-transformed scores")
         return self.platt_scores
 
-    @cached_property
+    @_lazy
     def rank(self) -> np.ndarray:
         """Every record's position in the stable sort of all the scores."""
         order = np.argsort(self.scores, kind="stable")
@@ -293,53 +315,64 @@ class _Records:
         rank = self.rank[idx]
         inside = np.zeros(self.scores.size, dtype=bool)
         inside[rank] = True
-        return np.cumsum(inside)[rank] - 1
+        return inside.cumsum()[rank] - 1
 
 
-@dataclass(frozen=True)
 class _Cell:
     """One evaluated subset: the records at sorted indices ``idx``, with the
-    arrays, bin statistics and scores its metrics share."""
+    arrays, sorted view, bin gaps and scores its metrics share, each computed
+    when a metric first reads it."""
 
-    records: _Records
-    idx: np.ndarray
+    def __init__(self, records: _Records, idx: np.ndarray) -> None:
+        self.records = records
+        self.cfg = records.cfg
+        self.idx = idx
+        self.n = idx.size
 
-    @property
-    def cfg(self) -> AuditConfig:
-        return self.records.cfg
-
-    @cached_property
+    @_lazy
     def scores(self) -> np.ndarray:
         return self.records.scores[self.idx]
 
-    @cached_property
+    @_lazy
     def labels(self) -> np.ndarray:
         return self.records.labels[self.idx]
 
-    @cached_property
-    def equal_width(self) -> calibration.BinStats:
-        membership = self.records.equal_width[self.idx]
-        return calibration._bin_stats(self.scores, self.labels, membership, self.cfg.n_bins)
+    @_lazy
+    def positions(self) -> np.ndarray:
+        return self.records.positions(self.idx)
 
-    @cached_property
-    def equal_count(self) -> calibration.BinStats:
-        n_bins = self.cfg.n_bins
-        membership = calibration._equal_count_bins(self.records.positions(self.idx), n_bins)
-        return calibration._bin_stats(self.scores, self.labels, membership, n_bins)
+    @_lazy
+    def ranked(self) -> discrimination._Ranked:
+        """The cell's stable order is the inverse of its positions: no sort."""
+        order = np.empty(self.n, dtype=np.intp)
+        order[self.positions] = np.arange(self.n)
+        return discrimination._Ranked(self.scores, self.labels, order)
 
-    @cached_property
+    @_lazy
     def pr_auc(self) -> float:
-        return discrimination.pr_auc(self.scores, self.labels)
+        return discrimination._pr_auc(self.ranked)
+
+    @_lazy
+    def equal_width(self) -> calibration.Gaps:
+        membership = self.records.equal_width[self.idx]
+        return calibration._bin_gaps(self.scores, self.labels, membership, self.cfg.n_bins)
+
+    @_lazy
+    def equal_count(self) -> calibration.Gaps:
+        n_bins = self.cfg.n_bins
+        membership = calibration._equal_count_bins(self.positions, n_bins)
+        return calibration._bin_gaps(self.scores, self.labels, membership, n_bins)
 
     def _mean(self, table: np.ndarray) -> float:
-        """Mean of a per-record table of the run over the cell's records."""
-        return float(np.mean(table[self.idx]))
+        """Mean of a per-record table of the run over the cell's records:
+        ``np.mean`` is this sum and division, without its wrapper."""
+        return float(np.add.reduce(table[self.idx]) / self.n)
 
-    @cached_property
+    @_lazy
     def cross_entropy(self) -> float:
         return -self._mean(self.records.log_likelihood)
 
-    @cached_property
+    @_lazy
     def brier(self) -> float:
         return self._mean(self.records.squared_error)
 
@@ -353,17 +386,18 @@ class _Cell:
 
 
 # metric name -> value on a cell; each entry picks what its estimator needs
-# from the cell, so binnings, the PR area and the proper scoring rules are
-# computed once per cell and shared by the metrics that read them. The scoring
-# rules are means over the run's per-record tables gathered at the cell's
-# indices: the same element-wise values as the estimators compute on the
-# gathered scores, summed in the same record order, so the same bytes.
+# from the cell, so the sorted view, binnings, the PR area and the proper
+# scoring rules are computed once per cell and shared by the metrics that read
+# them. The scoring rules are means over the run's per-record tables gathered
+# at the cell's indices: the same element-wise values as the estimators
+# compute on the gathered scores, summed in the same record order, so the
+# same bytes.
 _METRICS = {
-    "auc_roc": lambda c: discrimination.roc_auc(c.scores, c.labels),
+    "auc_roc": lambda c: discrimination._roc_auc(c.ranked, c.labels),
     "auc_pr": lambda c: c.pr_auc,
-    "auc_prg": lambda c: discrimination._normalized_ap(c.pr_auc, c.labels),
-    "balanced_accuracy": lambda c: discrimination.balanced_accuracy(
-        c.scores, c.labels, c.cfg.threshold
+    "auc_prg": lambda c: discrimination._normalized_ap(c.pr_auc, c.ranked),
+    "balanced_accuracy": lambda c: discrimination._balanced_accuracy(
+        c.ranked, c.cfg.threshold
     ),
     "ece": lambda c: calibration._ece(c.equal_width),
     "mce": lambda c: calibration._mce(c.equal_width),
@@ -533,18 +567,23 @@ def _audit(
     for run in runs:
         diag, records = _fit_run_calibrator(run, cfg, notes)
         platt_diag.append(diag)
-        matched_idx = None
+        # source tag -> sorted test-record indices, each tag compared once;
+        # None (the matched majority) stays None when the run cannot be matched
+        maj_idx, min_idx = (np.flatnonzero(run.test.groups == t) for t in (majority, minority))
+        cell_idx = {majority: maj_idx, minority: min_idx, None: None}
         if matched:
             match_seed = [cfg.seed, _STREAM_MATCH, int(run.run_index)]
             try:
-                matched_idx = _match_group_indices(run.test, majority, minority, match_seed)
+                cell_idx[None] = _match_group_indices(
+                    run.test.labels, majority, maj_idx, minority, min_idx, match_seed
+                )
             except ValueError as exc:
                 # only the matched series goes missing; both groups are still evaluated
                 notes.append(f"run {run.run_index}: {exc}")
             else:
                 match_seeds.append({"run": run.run_index, "seed": match_seed})
         for s, tag in sources.items():
-            idx = matched_idx if tag is None else np.flatnonzero(run.test.groups == tag)
+            idx = cell_idx[tag]
             if idx is None or idx.size == 0:
                 for m in cfg.metrics:
                     series[m][s].append(math.nan)

@@ -97,7 +97,7 @@ def fit_platt(
         raise ValueError("llrs and labels must have equal length")
     if not np.all(np.isfinite(x)):
         raise ValueError("llrs must be finite (clip scores before the LLR transform)")
-    if not np.isin(y, (0.0, 1.0)).all():
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("labels must be 0 or 1")
     if y.min() == y.max():
         raise ValueError("fit_platt needs both label classes present")

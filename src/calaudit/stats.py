@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -33,30 +34,48 @@ class BoxplotSummary:
     n: int
 
 
+def _tie_bounds(sorted_values: np.ndarray) -> np.ndarray:
+    """Bounds of the runs of equal values in an ascending array: run ``k``
+    spans positions ``bounds[k]`` up to ``bounds[k + 1]``."""
+    change = (sorted_values[1:] != sorted_values[:-1]).nonzero()[0] + 1
+    return np.concatenate(([0], change, [sorted_values.size]))
+
+
+def _block_midranks(bounds: np.ndarray) -> np.ndarray:
+    """1-based average ranks of the positions of an ascending array, from its
+    tie bounds: tied values share the mean of their positions."""
+    starts, ends = bounds[:-1], bounds[1:]
+    return ((starts + ends - 1) / 2.0 + 1.0).repeat(ends - starts)
+
+
 def midranks(values: np.ndarray) -> np.ndarray:
     """1-based average ranks; tied values share the mean of their positions."""
     v = np.asarray(values)
     order = np.argsort(v, kind="stable")
-    sv = v[order]
-    n = sv.size
-    block_start = np.concatenate(([True], sv[1:] != sv[:-1]))
-    starts = np.flatnonzero(block_start)
-    ends = np.append(starts[1:], n)
-    avg = (starts + ends - 1) / 2.0 + 1.0
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(avg, ends - starts)
+    ranks = np.empty(v.size, dtype=np.float64)
+    ranks[order] = _block_midranks(_tie_bounds(v[order]))
     return ranks
 
 
-def _exact_distribution(doubled_ranks: np.ndarray) -> np.ndarray:
-    """Counts of 2*W+ over all sign assignments; float64 stays exact below 2**53."""
-    total = int(doubled_ranks.sum())
+@lru_cache(maxsize=128)
+def _null_counts(doubled_ranks: tuple[int, ...]) -> np.ndarray:
+    total = sum(doubled_ranks)
     counts = np.zeros(total + 1, dtype=np.float64)
     counts[0] = 1.0
     for g in doubled_ranks:
-        g = int(g)
         counts[g:] = counts[g:] + counts[: total + 1 - g]
+    counts.setflags(write=False)
     return counts
+
+
+def _exact_distribution(doubled_ranks: np.ndarray) -> np.ndarray:
+    """Counts of 2*W+ over all sign assignments, read-only.
+
+    Every count is an integer below 2**53, so float64 holds each partial sum
+    exactly and the counts do not depend on the order the ranks are folded in;
+    they are cached by the sorted ranks.
+    """
+    return _null_counts(tuple(np.sort(doubled_ranks).tolist()))
 
 
 def wilcoxon_signed_rank(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from calaudit import ScoreSet
+from calaudit.dataset import _match_group_indices
 
 
 def make_scoreset(scores, labels, groups=None) -> ScoreSet:
@@ -20,3 +21,15 @@ def calibrated_scoreset(n: int, seed: int) -> ScoreSet:
     rng = np.random.default_rng(seed)
     scores = rng.random(n)
     return ScoreSet(scores=scores, labels=rng.binomial(1, scores))
+
+
+def match_indices(s: ScoreSet, majority: str, minority: str, seed) -> np.ndarray:
+    """The size-matched majority indices an audit draws for these tags and seed."""
+    return _match_group_indices(
+        s.labels,
+        majority,
+        np.flatnonzero(s.groups == majority),
+        minority,
+        np.flatnonzero(s.groups == minority),
+        seed,
+    )

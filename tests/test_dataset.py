@@ -14,9 +14,9 @@ from calaudit import (
     subsample_indices,
     write_scoreset_csv,
 )
-from calaudit.dataset import UNKNOWN_GROUP, _match_group_indices
+from calaudit.dataset import UNKNOWN_GROUP
 
-from helpers import calibrated_scoreset, make_scoreset
+from helpers import calibrated_scoreset, make_scoreset, match_indices
 
 
 class TestScoreSet:
@@ -33,6 +33,17 @@ class TestScoreSet:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="labels"):
             make_scoreset([0.2, 0.5], [0, 2])
+
+    # casting NaN to the integer label column warns before the check rejects it
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    @pytest.mark.parametrize("bad", [2.0, np.nan])
+    def test_rejects_float_labels_other_than_zero_or_one(self, bad):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            ScoreSet(scores=np.array([0.2, 0.5]), labels=np.array([0.0, bad]))
+
+    def test_accepts_negative_zero_label(self):
+        s = ScoreSet(scores=np.array([0.2, 0.5]), labels=np.array([-0.0, 1.0]))
+        assert s.labels.tolist() == [0, 1]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one record"):
@@ -311,7 +322,7 @@ class TestMatchGroupSize:
         rng = np.random.default_rng(0)
         groups = ["big"] * 400 + ["small"] * 20
         s = make_scoreset(rng.random(420), rng.integers(0, 2, 420), groups=groups)
-        matched = s.take(_match_group_indices(s, "big", "small", 0))
+        matched = s.take(match_indices(s, "big", "small", 0))
         assert matched.n == 20
         assert set(matched.groups) == {"big"}
 
@@ -319,7 +330,7 @@ class TestMatchGroupSize:
         rng = np.random.default_rng(1)
         groups = ["big"] * 30 + ["small"] * 30
         s = make_scoreset(rng.random(60), rng.integers(0, 2, 60), groups=groups)
-        matched = s.take(_match_group_indices(s, "big", "small", 5))
+        matched = s.take(match_indices(s, "big", "small", 5))
         big = s.take(np.flatnonzero(s.groups == "big"))
         assert sorted(matched.sample_ids) == sorted(big.sample_ids)
 
@@ -328,7 +339,7 @@ class TestMatchGroupSize:
         labels = np.array([1] * 50 + [0] * 50 + list(rng.integers(0, 2, 20)))
         groups = ["big"] * 100 + ["small"] * 20
         s = make_scoreset(rng.random(120), labels, groups=groups)
-        matched = s.take(_match_group_indices(s, "big", "small", 3))
+        matched = s.take(match_indices(s, "big", "small", 3))
         # majority prevalence is exactly 0.5, so 20 matched records hold 10 +/- 1
         assert matched.n == 20
         assert abs(int(matched.labels.sum()) - 10) <= 1
@@ -338,9 +349,9 @@ class TestMatchGroupSize:
         groups = ["big"] * 40 + ["small"] * 10
         s = make_scoreset(rng.random(50), rng.integers(0, 2, 50), groups=groups)
         with pytest.raises(ValueError, match="swap"):
-            s.take(_match_group_indices(s, "small", "big", 0))
+            s.take(match_indices(s, "small", "big", 0))
 
     def test_absent_group(self):
         s = make_scoreset([0.1, 0.9], [0, 1], groups=["big", "big"])
         with pytest.raises(ValueError, match="no records"):
-            s.take(_match_group_indices(s, "big", "small", 0))
+            s.take(match_indices(s, "big", "small", 0))

@@ -38,11 +38,15 @@ from calaudit import (
     write_sweep_csv,
 )
 from calaudit.calibration import _equal_count_bins
-from calaudit.dataset import _match_group_indices
-from calaudit.harness import SWEEP_METRICS, _Records, _metric_values
+from calaudit.harness import (
+    DISCRIMINATION_METRICS,
+    SWEEP_METRICS,
+    _Records,
+    _metric_values,
+)
 
 import oracles
-from helpers import calibrated_scoreset
+from helpers import calibrated_scoreset, match_indices
 
 
 def _two_group_runs(
@@ -237,8 +241,6 @@ class TestSizeMatchedAudit:
         assert any("insufficient pairs" in n for n in report.provenance["notes"])
 
     def test_match_seeds_recorded_for_replay(self):
-        from calaudit.dataset import _match_group_indices
-
         runs = _two_group_runs(302, n_runs=4, group_sizes=(600, 60))
         cfg = AuditConfig(metrics=("ece",), seed=17)
         report = run_size_matched_audit(runs, cfg)
@@ -246,7 +248,7 @@ class TestSizeMatchedAudit:
         assert set(entries) == {0, 1, 2, 3}
         # replaying the recorded seed reproduces the matched subset's metric
         run = runs[1]
-        idx = _match_group_indices(run.test, "g_big", "g_small", entries[1])
+        idx = match_indices(run.test, "g_big", "g_small", entries[1])
         subset = run.test.take(idx)
         expected = ece(subset.scores, subset.labels, bin_scores(subset.scores, n_bins=cfg.n_bins))
         assert report.series["ece"]["majority_matched"][1] == pytest.approx(
@@ -254,13 +256,11 @@ class TestSizeMatchedAudit:
         )
 
     def test_matched_arm_uses_equal_counts(self):
-        from calaudit.dataset import _match_group_indices
-
         runs = _two_group_runs(303, n_runs=3, group_sizes=(500, 50))
         report = run_size_matched_audit(runs, AuditConfig(metrics=("ece",), seed=4))
         for entry in report.provenance["match_seeds"]:
             run = runs[entry["run"]]
-            matched = _match_group_indices(run.test, "g_big", "g_small", entry["seed"])
+            matched = match_indices(run.test, "g_big", "g_small", entry["seed"])
             assert matched.size == (run.test.groups == "g_small").sum() == 50
 
 
@@ -301,6 +301,42 @@ def _runs_with_single_class_validation():
         test=runs[3].test,
     )
     return runs
+
+
+def test_degenerate_cells_pin_their_notes():
+    # run 0's minority holds only negatives, run 1's only positives
+    rng = np.random.default_rng(9)
+    runs = []
+    for r, minority_label in enumerate((0, 1)):
+        labels = np.concatenate((rng.integers(0, 2, 60), np.full(20, minority_label)))
+        labels[:2] = (0, 1)
+        test = ScoreSet(
+            scores=np.round(rng.random(80), 2),
+            labels=labels,
+            groups=np.array(["big"] * 60 + ["small"] * 20),
+        )
+        runs.append(AuditRun(r, _VALIDATION, test))
+    cfg = AuditConfig(
+        metrics=DISCRIMINATION_METRICS, majority="big", minority="small", seed=3
+    )
+    report = run_size_matched_audit(runs, cfg)
+    cells = [n for n in report.provenance["notes"] if n.startswith("run ")]
+    assert cells == [
+        "run 0 series minority auc_roc: roc_auc needs both label classes present",
+        "run 0 series minority auc_pr: pr_auc needs at least one positive label",
+        "run 0 series minority auc_prg: pr_auc needs at least one positive label",
+        "run 0 series minority balanced_accuracy: "
+        "balanced_accuracy needs both label classes present",
+        "run 1 series minority auc_roc: roc_auc needs both label classes present",
+        "run 1 series minority auc_prg: "
+        "pr_auc_gain is undefined when every label is positive",
+        "run 1 series minority balanced_accuracy: "
+        "balanced_accuracy needs both label classes present",
+    ]
+    assert report.series["auc_pr"]["minority"][1] == 1.0
+    for m in DISCRIMINATION_METRICS:
+        assert math.isnan(report.series[m]["minority"][0])
+        assert not math.isnan(report.series[m]["majority_matched"][0])
 
 
 class TestFailedPlattFit:
@@ -580,7 +616,7 @@ class TestCellKernel:
         cells = {
             "majority": np.flatnonzero(groups == "big"),
             "minority": np.flatnonzero(groups == "small"),
-            "majority_matched": _match_group_indices(test, "big", "small", seed),
+            "majority_matched": match_indices(test, "big", "small", seed),
         }
         platt_scores = _platt_scores(test)
         for series, idx in cells.items():

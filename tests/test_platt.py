@@ -104,6 +104,17 @@ class TestFitPlatt:
         with pytest.raises(ValueError, match="both label classes"):
             fit_platt(np.array([0.1, 0.2, 0.3]), np.array([1, 1, 1]))
 
+    @pytest.mark.parametrize("bad", [2.0, np.nan])
+    def test_labels_other_than_zero_or_one_rejected(self, bad):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            fit_platt(np.array([0.1, 0.2, 0.3]), np.array([0.0, 1.0, bad]))
+
+    def test_negative_zero_label_accepted(self):
+        llrs = np.array([-1.0, 0.5, 0.2, 1.5, -0.3])
+        assert fit_platt(llrs, np.array([-0.0, 1.0, 0.0, 1.0, 1.0])) == fit_platt(
+            llrs, np.array([0, 1, 0, 1, 1])
+        )
+
     def test_non_finite_llrs_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             fit_platt(np.array([0.0, np.inf]), np.array([0, 1]))

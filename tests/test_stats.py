@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from calaudit import InsufficientPairsError, summarize, wilcoxon_signed_rank
+from calaudit import stats
 from calaudit.stats import midranks
 
 import oracles
@@ -44,6 +45,24 @@ class TestWilcoxonSignedRank:
         backward = wilcoxon_signed_rank(y, x)
         assert forward.statistic == backward.statistic
         assert forward.p_value == backward.p_value
+
+    def test_exact_null_is_cached_and_free_of_pair_order(self):
+        rng = np.random.default_rng(11)
+        # one decimal, so the absolute differences tie
+        x = np.round(rng.normal(0.3, 1.0, 20), 1)
+        y = np.round(rng.normal(0.0, 1.0, 20), 1)
+        result = wilcoxon_signed_rank(x, y)
+        assert result.method == "exact"
+        for _ in range(5):
+            perm = rng.permutation(x.size)
+            assert wilcoxon_signed_rank(x[perm], y[perm]) == result
+        d = (x - y)[x != y]
+        doubled = np.rint(2.0 * midranks(np.abs(d))).astype(np.int64)
+        cached = stats._exact_distribution(doubled)
+        assert not cached.flags.writeable
+        # the convolution folded in record order, outside the cache
+        uncached = stats._null_counts.__wrapped__(tuple(doubled.tolist()))
+        assert cached.tobytes() == uncached.tobytes()
 
     def test_exact_matches_enumeration_all_patterns(self):
         # every tie-free sign pattern up to n=12, against the 2^n oracle
