@@ -58,7 +58,13 @@ def midranks(values: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _null_counts(doubled_ranks: tuple[int, ...]) -> np.ndarray:
+def _exact_distribution(doubled_ranks: tuple[int, ...]) -> np.ndarray:
+    """Counts of 2*W+ over all sign assignments, read-only.
+
+    Every count is an integer below 2**53, so float64 holds each partial sum
+    exactly and the counts do not depend on the order the ranks are folded in;
+    callers pass the ranks sorted, so equal rank sets share one cache entry.
+    """
     total = sum(doubled_ranks)
     counts = np.zeros(total + 1, dtype=np.float64)
     counts[0] = 1.0
@@ -66,16 +72,6 @@ def _null_counts(doubled_ranks: tuple[int, ...]) -> np.ndarray:
         counts[g:] = counts[g:] + counts[: total + 1 - g]
     counts.setflags(write=False)
     return counts
-
-
-def _exact_distribution(doubled_ranks: np.ndarray) -> np.ndarray:
-    """Counts of 2*W+ over all sign assignments, read-only.
-
-    Every count is an integer below 2**53, so float64 holds each partial sum
-    exactly and the counts do not depend on the order the ranks are folded in;
-    they are cached by the sorted ranks.
-    """
-    return _null_counts(tuple(np.sort(doubled_ranks).tolist()))
 
 
 def wilcoxon_signed_rank(
@@ -108,7 +104,7 @@ def wilcoxon_signed_rank(
 
     if n <= EXACT_ENUMERATION_CUTOFF:
         doubled = np.rint(2.0 * ranks).astype(np.int64)
-        counts = _exact_distribution(doubled)
+        counts = _exact_distribution(tuple(np.sort(doubled).tolist()))
         w2 = int(round(2.0 * w))
         total2 = int(doubled.sum())
         p = (counts[: w2 + 1].sum() + counts[total2 - w2 :].sum()) / 2.0**n
