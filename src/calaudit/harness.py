@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -87,6 +87,16 @@ _STREAM_POPULATION = 4
 _STREAM_SPLIT = 5
 
 
+def _integer(name: str, value, low: int) -> int:
+    """``value`` as an ``int`` of at least ``low``. A ``bool`` or a float is
+    refused; a numpy integer becomes an ``int``, which the JSON outputs can encode."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class AuditConfig:
     """Knobs shared by all experiment families; every estimator convention is explicit."""
@@ -122,15 +132,10 @@ class AuditConfig:
         # outputs key and label ratios by f"{r:g}"; two that print alike would collide
         if len({f"{r:g}" for r in ratios}) != len(ratios):
             raise ValueError("ratios must be distinct as printed (6 significant digits)")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name, low in (("n_bins", 1), ("max_subsample_retries", 0), ("population_size", 2)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}")
-            object.__setattr__(self, name, int(value))
+        for name, low in (
+            ("seed", 0), ("n_bins", 1), ("max_subsample_retries", 0), ("population_size", 2)
+        ):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must be a finite number in [0, 1]")
         try:
@@ -153,8 +158,6 @@ class AuditConfig:
             raise ValueError("validation/test fractions must be positive and sum to <= 1")
         object.__setattr__(self, "metrics", metrics)
         object.__setattr__(self, "ratios", ratios)
-        # a numpy integer would reach the JSON provenance, which cannot encode it
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -166,8 +169,7 @@ class AuditRun:
     test: ScoreSet
 
     def __post_init__(self) -> None:
-        if self.run_index < 0:
-            raise ValueError("run_index must be >= 0")
+        object.__setattr__(self, "run_index", _integer("run_index", self.run_index, 0))
 
 
 @dataclass(frozen=True)
@@ -511,25 +513,66 @@ def _summary_or_none(values: list[float], cfg: AuditConfig) -> BoxplotSummary | 
     return summarize(finite, cfg.quantile_rule)
 
 
-def _paired_test(
-    a_values: list[float],
-    b_values: list[float],
-    metric: str,
-    label: str,
-    notes: list[str],
-) -> PairedTestResult | None:
-    a = np.asarray(a_values, dtype=np.float64)
-    b = np.asarray(b_values, dtype=np.float64)
-    ok = np.isfinite(a) & np.isfinite(b)
-    try:
-        return wilcoxon_signed_rank(a[ok], b[ok])
-    except InsufficientPairsError as exc:
-        notes.append(f"{metric} {label}: {exc}")
-        return None
+def _evaluate(
+    runs: Iterable[AuditRun],
+    cfg: AuditConfig,
+    kind: str,
+    series: Sequence,
+    arms: dict[str, tuple],
+    label: Callable[[object], str],
+    cells: Callable[[AuditRun, list[str]], Iterable[tuple]],
+) -> AuditReport:
+    """The one evaluation loop behind both audits and the sampling sweep.
 
-
-def _base_provenance(cfg: AuditConfig) -> dict:
-    return {"config": asdict(cfg), "version": __version__}
+    Runs are consumed one at a time. Each run fits its calibrator, then
+    ``cells(run, notes)`` yields ``(series, idx)`` for each of the run's cells:
+    sorted test-record indices, or ``None`` for a cell that could not be drawn,
+    whose note the source has written. A cell that is ``None`` or empty (noted
+    as absent) has every metric missing; a metric undefined on a cell is
+    missing alone, noted as ``run <i> <label> <metric>: <reason>``. Every
+    series is then summarized, and each arm, a pair of series, gets a paired
+    Wilcoxon test over the runs where both values are finite.
+    """
+    values: dict = {m: {s: [] for s in series} for m in cfg.metrics}
+    run_ids: list[int] = []
+    platt: list[dict] = []
+    notes: list[str] = []
+    for run in runs:
+        i = run.run_index
+        if i in run_ids:
+            raise ValueError(f"duplicate run_index {i}")
+        run_ids.append(i)
+        diag, records = _fit_run_calibrator(run, cfg, notes)
+        platt.append(diag)
+        for s, idx in cells(run, notes):
+            if idx is None or idx.size == 0:
+                cell = dict.fromkeys(cfg.metrics, math.nan)
+                if idx is not None:
+                    notes.append(f"run {i}: {label(s)} absent from test set")
+            else:
+                cell, errors = _metric_values(cfg.metrics, records, idx)
+                notes.extend(f"run {i} {label(s)} {e}" for e in errors)
+            for m in cfg.metrics:
+                values[m][s].append(cell[m])
+    if not run_ids:
+        raise ValueError("no runs supplied")
+    tests: dict = {m: {} for m in cfg.metrics}
+    for m in cfg.metrics:
+        for arm, pair in arms.items():
+            a, b = (np.asarray(values[m][s], dtype=np.float64) for s in pair)
+            ok = np.isfinite(a) & np.isfinite(b)
+            try:
+                tests[m][arm] = wilcoxon_signed_rank(a[ok], b[ok])
+            except InsufficientPairsError as exc:
+                tests[m][arm] = None
+                notes.append(f"{m} {arm}: {exc}")
+    summaries = {
+        m: {s: _summary_or_none(values[m][s], cfg) for s in series} for m in cfg.metrics
+    }
+    provenance = {
+        "config": asdict(cfg), "version": __version__, "platt": platt, "notes": notes
+    }
+    return AuditReport(kind, tuple(run_ids), values, summaries, tests, provenance)
 
 
 def _audit(
@@ -560,19 +603,16 @@ def _audit(
         sources = {majority: majority, minority: minority}
         arms = {"majority_vs_minority": (majority, minority)}
         label = "group {!r}".format
-    series: dict = {m: {s: [] for s in sources} for m in cfg.metrics}
-    notes: list[str] = []
-    platt_diag: list[dict] = []
     match_seeds: list[dict] = []
-    for run in runs:
-        diag, records = _fit_run_calibrator(run, cfg, notes)
-        platt_diag.append(diag)
-        # source tag -> sorted test-record indices, each tag compared once;
-        # None (the matched majority) stays None when the run cannot be matched
+
+    def cells(run: AuditRun, notes: list[str]) -> list[tuple]:
+        # each tag compared once, and the majority matched before any series
+        # is evaluated; None (the matched majority) stays None when the run
+        # cannot be matched
         maj_idx, min_idx = (np.flatnonzero(run.test.groups == t) for t in (majority, minority))
         cell_idx = {majority: maj_idx, minority: min_idx, None: None}
         if matched:
-            match_seed = [cfg.seed, _STREAM_MATCH, int(run.run_index)]
+            match_seed = [cfg.seed, _STREAM_MATCH, run.run_index]
             try:
                 cell_idx[None] = _match_group_indices(
                     run.test.labels, majority, maj_idx, minority, min_idx, match_seed
@@ -582,44 +622,14 @@ def _audit(
                 notes.append(f"run {run.run_index}: {exc}")
             else:
                 match_seeds.append({"run": run.run_index, "seed": match_seed})
-        for s, tag in sources.items():
-            idx = cell_idx[tag]
-            if idx is None or idx.size == 0:
-                for m in cfg.metrics:
-                    series[m][s].append(math.nan)
-                if idx is not None:
-                    notes.append(f"run {run.run_index}: {label(s)} absent from test set")
-                continue
-            values, errors = _metric_values(cfg.metrics, records, idx)
-            for m in cfg.metrics:
-                series[m][s].append(values[m])
-            notes.extend(f"run {run.run_index} {label(s)} {e}" for e in errors)
-    tests = {
-        m: {
-            arm: _paired_test(series[m][a], series[m][b], m, arm, notes)
-            for arm, (a, b) in arms.items()
-        }
-        for m in cfg.metrics
-    }
-    summaries = {
-        m: {s: _summary_or_none(series[m][s], cfg) for s in sources} for m in cfg.metrics
-    }
-    provenance = _base_provenance(cfg)
-    provenance.update(
-        {"groups": {"majority": majority, "minority": minority}, "platt": platt_diag,
-         "notes": notes}
-    )
+        return [(s, cell_idx[tag]) for s, tag in sources.items()]
+
+    report = _evaluate(runs, cfg, kind, sources, arms, label, cells)
+    report.provenance["groups"] = {"majority": majority, "minority": minority}
     if matched:
-        provenance["match_seeds"] = match_seeds
-        provenance["arms"] = {arm: list(pair) for arm, pair in arms.items()}
-    return AuditReport(
-        kind=kind,
-        runs=tuple(r.run_index for r in runs),
-        series=series,
-        summaries=summaries,
-        tests=tests,
-        provenance=provenance,
-    )
+        report.provenance["match_seeds"] = match_seeds
+        report.provenance["arms"] = {arm: list(pair) for arm, pair in arms.items()}
+    return report
 
 
 def run_group_audit(
@@ -660,68 +670,54 @@ def run_sampling_sweep(
     retried with fresh derived seeds up to the configured bound, then recorded
     as missing. The per-metric test compares the smallest against the largest
     ratio, paired by run.
+
+    The sweep is an audit whose series are the ratios and whose one arm is
+    that comparison; its rows are read off the series.
     """
     cfg = config if config is not None else AuditConfig()
     ratios = cfg.ratios
-    values: dict = {m: {r: [] for r in ratios} for m in cfg.metrics}
-    rows: list[tuple] = []
-    run_ids: list[int] = []
-    notes: list[str] = []
-    for run in runs:
-        run_ids.append(run.run_index)
-        _, records = _fit_run_calibrator(run, cfg, notes)
-        for ri, ratio in enumerate(ratios):
-            idx = None
-            for attempt in range(cfg.max_subsample_retries + 1):
+    comparison = f"ratio {ratios[0]:g} vs {ratios[-1]:g}"
+    attempts = cfg.max_subsample_retries + 1
+
+    def cells(run: AuditRun, notes: list[str]):
+        # a generator, so each ratio is drawn, and noted, just before it is evaluated
+        for position, ratio in enumerate(ratios):
+            for attempt in range(attempts):
+                seed = [cfg.seed, _STREAM_SUBSAMPLE, run.run_index, position, attempt]
                 try:
-                    idx = subsample_indices(
-                        run.test.labels,
-                        ratio,
-                        [cfg.seed, _STREAM_SUBSAMPLE, int(run.run_index), ri, attempt],
-                    )
-                    break
+                    idx = subsample_indices(run.test.labels, ratio, seed)
                 except DegenerateSampleError:
                     continue
-            if idx is None:
+                break
+            else:
+                idx = None
                 notes.append(
                     f"run {run.run_index} ratio {ratio:g}: degenerate subsample after "
-                    f"{cfg.max_subsample_retries + 1} attempts; recorded missing"
+                    f"{attempts} attempts; recorded missing"
                 )
-                cell = {m: math.nan for m in cfg.metrics}
-            else:
-                cell, errors = _metric_values(cfg.metrics, records, idx)
-                notes.extend(
-                    f"run {run.run_index} ratio {ratio:g} {e}" for e in errors
-                )
-            for m in cfg.metrics:
-                values[m][ratio].append(cell[m])
-                rows.append((run.run_index, ratio, m, cell[m]))
-    if not run_ids:
-        raise ValueError("no runs supplied")
-    low, high = ratios[0], ratios[-1]
-    tests = {
-        m: _paired_test(
-            values[m][low], values[m][high], m, f"ratio {low:g} vs {high:g}", notes
-        )
-        for m in cfg.metrics
-    }
-    summaries = {
-        m: {r: _summary_or_none(values[m][r], cfg) for r in ratios} for m in cfg.metrics
-    }
-    provenance = _base_provenance(cfg)
-    provenance.update(
-        {
-            "comparison": f"ratio {low:g} vs {high:g}, paired by run",
-            "subsample_seed_scheme": f"[seed, {_STREAM_SUBSAMPLE}, run, ratio_position, attempt]",
-            "notes": notes,
-        }
+            yield ratio, idx
+
+    report = _evaluate(
+        runs, cfg, "sweep", ratios, {comparison: (ratios[0], ratios[-1])},
+        "ratio {:g}".format, cells,
+    )
+    provenance = report.provenance
+    del provenance["platt"]  # sweep outputs do not record the Platt fits
+    provenance["comparison"] = f"{comparison}, paired by run"
+    provenance["subsample_seed_scheme"] = (
+        f"[seed, {_STREAM_SUBSAMPLE}, run, ratio_position, attempt]"
     )
     return SweepResult(
         ratios=ratios,
-        runs=tuple(run_ids),
-        rows=tuple(rows),
-        summaries=summaries,
-        tests=tests,
+        runs=report.runs,
+        rows=tuple(
+            (run, r, m, report.series[m][r][k])
+            for k, run in enumerate(report.runs)
+            for r in ratios
+            for m in cfg.metrics
+        ),
+        summaries=report.summaries,
+        tests={m: per[comparison] for m, per in report.tests.items()},
         provenance=provenance,
     )
 

@@ -79,9 +79,10 @@ def wilcoxon_signed_rank(
 ) -> PairedTestResult:
     """Two-sided Wilcoxon signed-rank test for paired samples.
 
-    Conventions: zero differences are discarded, absolute differences are
-    mid-ranked, and the statistic is ``W = min(W+, W-)``. The p-value is exact
-    (full sign-assignment distribution) up to ``n`` of
+    Conventions: zero differences are discarded, a NaN difference is refused
+    (drop non-finite pairs first), absolute differences are mid-ranked, and
+    the statistic is ``W = min(W+, W-)``. The p-value is exact (full
+    sign-assignment distribution) up to ``n`` of
     :data:`EXACT_ENUMERATION_CUTOFF` nonzero pairs, and otherwise uses the
     normal approximation with tie-corrected variance and continuity correction.
     """
@@ -90,6 +91,8 @@ def wilcoxon_signed_rank(
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be one-dimensional and equally long")
     d = x - y
+    if np.isnan(d).any():
+        raise ValueError("paired differences must not be NaN")
     d = d[d != 0.0]
     n = int(d.size)
     if n < 3:

@@ -123,7 +123,7 @@ class TestAuditConfig:
         with pytest.raises(ValueError, match="repeat"):
             AuditConfig(metrics=("ece", "mce", "ece"))
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
     def test_seed_must_be_non_negative_integer(self, seed):
         with pytest.raises(ValueError, match="seed"):
             AuditConfig(seed=seed)
@@ -145,6 +145,27 @@ class TestAuditConfig:
     def test_population_size_must_be_an_integer_of_at_least_two(self, size):
         with pytest.raises(ValueError, match="population_size"):
             AuditConfig(population_size=size)
+
+
+class TestAuditRun:
+    @pytest.mark.parametrize("run_index", [1.5, 1.0, True, -1, "1"])
+    def test_run_index_must_be_non_negative_integer(self, run_index):
+        s = calibrated_scoreset(50, seed=0)
+        with pytest.raises(ValueError, match="run_index"):
+            AuditRun(run_index, s, s)
+
+    def test_numpy_run_index_stored_as_python_int(self):
+        s = calibrated_scoreset(50, seed=0)
+        assert type(AuditRun(np.int64(2), s, s).run_index) is int
+
+    @pytest.mark.parametrize(
+        "evaluate", [run_group_audit, run_size_matched_audit, run_sampling_sweep]
+    )
+    def test_repeated_run_index_rejected(self, evaluate):
+        runs = [AuditRun(0, r.validation, r.test) for r in _two_group_runs(107, n_runs=2)]
+        cfg = AuditConfig(metrics=("ece",), ratios=(0.5, 1.0), seed=1)
+        with pytest.raises(ValueError, match="duplicate run_index 0"):
+            evaluate(runs, cfg)
 
 
 class TestGroupAudit:
@@ -337,6 +358,113 @@ def test_degenerate_cells_pin_their_notes():
     for m in DISCRIMINATION_METRICS:
         assert math.isnan(report.series[m]["minority"][0])
         assert not math.isnan(report.series[m]["majority_matched"][0])
+
+
+def _policy_runs():
+    """Six small runs, one per way a cell goes missing: run 1's minority is
+    absent, run 2's outnumbers its majority, run 3's Platt fit fails (a
+    single-class validation set), run 4's does not converge (separable
+    validation scores) and run 5's minority holds negatives only."""
+    rng = np.random.default_rng(0)
+    runs = []
+    # (majority size, minority size, positives in each)
+    shapes = [(40, 10, 4, 3), (50, 0, 7, 0), (15, 35, 2, 5),
+              (40, 10, 4, 3), (40, 10, 4, 3), (40, 10, 7, 0)]
+    for r, (n_big, n_small, pos_big, pos_small) in enumerate(shapes):
+        labels = np.zeros(n_big + n_small, dtype=int)
+        labels[rng.choice(n_big, pos_big, replace=False)] = 1
+        labels[n_big + rng.choice(n_small, pos_small, replace=False)] = 1
+        test = ScoreSet(
+            scores=np.round(rng.random(n_big + n_small), 2),
+            labels=labels,
+            groups=np.array(["big"] * n_big + ["small"] * n_small),
+        )
+        v = calibrated_scoreset(200, seed=r)
+        if r == 3:
+            v = ScoreSet(scores=v.scores, labels=np.zeros(v.n, dtype=int))
+        elif r == 4:
+            v = ScoreSet(scores=np.where(v.labels == 1, 0.8, 0.2), labels=v.labels)
+        runs.append(AuditRun(r, v, test))
+    return runs
+
+
+_AUDIT_NOTES = [
+    "run 1: group 'small' has no records",
+    "run 1: series minority absent from test set",
+    "run 2: group 'small' is larger than 'big'; swap the arguments",
+    "run 3: Platt fit failed: fit_platt needs both label classes present",
+    "run 3 series majority delta_ce: delta metrics require Platt-transformed scores",
+    "run 3 series minority delta_ce: delta metrics require Platt-transformed scores",
+    "run 3 series majority_matched delta_ce: "
+    "delta metrics require Platt-transformed scores",
+    "run 4: Platt fit did not converge",
+    "run 4 series majority delta_ce: delta metrics require Platt-transformed scores",
+    "run 4 series minority delta_ce: delta metrics require Platt-transformed scores",
+    "run 4 series majority_matched delta_ce: "
+    "delta metrics require Platt-transformed scores",
+    "run 5 series minority auc_roc: roc_auc needs both label classes present",
+    "delta_ce size_matched: insufficient pairs: need >= 3 nonzero differences, got 2",
+    "delta_ce size_effect: insufficient pairs: need >= 3 nonzero differences, got 2",
+]
+_SWEEP_NOTES = [
+    "run 1 ratio 0.1: degenerate subsample after 1 attempts; recorded missing",
+    "run 1 ratio 0.2: degenerate subsample after 1 attempts; recorded missing",
+    "run 2 ratio 0.1: degenerate subsample after 1 attempts; recorded missing",
+    "run 3: Platt fit failed: fit_platt needs both label classes present",
+    "run 3 ratio 0.1 delta_ce: delta metrics require Platt-transformed scores",
+    "run 3 ratio 0.2 delta_ce: delta metrics require Platt-transformed scores",
+    "run 3 ratio 1 delta_ce: delta metrics require Platt-transformed scores",
+    "run 4: Platt fit did not converge",
+    "run 4 ratio 0.1 delta_ce: delta metrics require Platt-transformed scores",
+    "run 4 ratio 0.2: degenerate subsample after 1 attempts; recorded missing",
+    "run 4 ratio 1 delta_ce: delta metrics require Platt-transformed scores",
+    "delta_ce ratio 0.1 vs 1: insufficient pairs: need >= 3 nonzero differences, got 2",
+]
+_NAN = math.nan
+# (run, ratio): (auc_roc, delta_ce)
+_SWEEP_ROWS = {
+    (0, 0.1): (0.3333333333333333, 0.03404160004662615),
+    (0, 0.2): (0.2222222222222222, 0.007704180334764388),
+    (0, 1.0): (0.5564784053156147, 0.01717390327243895),
+    (1, 0.1): (_NAN, _NAN),
+    (1, 0.2): (_NAN, _NAN),
+    (1, 1.0): (0.3106312292358804, -0.3839170728876711),
+    (2, 0.1): (_NAN, _NAN),
+    (2, 0.2): (0.3333333333333333, 0.06481991329450432),
+    (2, 1.0): (0.6046511627906976, 0.05754527438634516),
+    (3, 0.1): (0.5, _NAN),
+    (3, 0.2): (0.4375, _NAN),
+    (3, 1.0): (0.6096345514950167, _NAN),
+    (4, 0.1): (0.5, _NAN),
+    (4, 0.2): (_NAN, _NAN),
+    (4, 1.0): (0.5083056478405316, _NAN),
+    (5, 0.1): (0.75, -0.05017741477983928),
+    (5, 0.2): (0.46875, -0.04584390384977266),
+    (5, 1.0): (0.5415282392026578, -0.058753481736764535),
+}
+
+
+def test_missing_cell_notes_and_sweep_rows_pinned():
+    # one draw per ratio: ratio 0.2 of run 4 is degenerate between two good
+    # ratios, and ratio 0.1 of runs 1 and 2 leaves too few delta_ce pairs
+    cfg = AuditConfig(
+        metrics=("auc_roc", "delta_ce"), ratios=(0.1, 0.2, 1.0), majority="big",
+        minority="small", max_subsample_retries=0, seed=89,
+    )
+    runs = _policy_runs()
+    report = run_size_matched_audit(runs, cfg)
+    assert report.provenance["notes"] == _AUDIT_NOTES
+    result = run_sampling_sweep(runs, cfg)
+    assert result.provenance["notes"] == _SWEEP_NOTES
+    expected = [
+        (run, ratio, m, v)
+        for (run, ratio), values in _SWEEP_ROWS.items()
+        for m, v in zip(cfg.metrics, values)
+    ]
+    assert [row[:3] for row in result.rows] == [row[:3] for row in expected]
+    np.testing.assert_array_equal(
+        [row[3] for row in result.rows], [row[3] for row in expected]
+    )
 
 
 class TestFailedPlattFit:

@@ -123,6 +123,11 @@ class TestWilcoxonSignedRank:
             worst = max(worst, abs(exact.p_value - approx_p))
         assert worst < 0.02
 
+    def test_nan_pair_rejected(self):
+        # a NaN difference would count toward n but enter neither rank sum
+        with pytest.raises(ValueError, match="NaN"):
+            wilcoxon_signed_rank([1.0, 2.0, 3.0, np.nan], [0.0, 0.0, 0.0, 0.0])
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equally long"):
             wilcoxon_signed_rank(np.array([1.0, 2.0]), np.array([1.0]))
