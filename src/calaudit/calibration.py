@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stats import _stable_order
+
 EQUAL_WIDTH = "equal_width"
 EQUAL_COUNT = "equal_count"
 
@@ -78,7 +80,7 @@ def bin_scores(
     if scheme == EQUAL_COUNT:
         n = scores.size
         membership = np.empty(n, dtype=np.int64)
-        membership[np.argsort(scores, kind="stable")] = _equal_count_bins(np.arange(n), n_bins)
+        membership[_stable_order(scores)] = _equal_count_bins(np.arange(n), n_bins)
         return Binning(EQUAL_COUNT, n_bins, membership)
     raise ValueError(f"unknown binning scheme {scheme!r}")
 

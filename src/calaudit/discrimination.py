@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .stats import _block_midranks, _tie_bounds
+from .stats import _block_midranks, _stable_order, _tie_bounds
 
 
 class _Ranked:
@@ -41,7 +41,7 @@ class _Ranked:
 
 def _rank(scores: np.ndarray, labels: np.ndarray) -> _Ranked:
     scores = np.asarray(scores, dtype=np.float64)
-    return _Ranked(scores, np.asarray(labels), np.argsort(scores, kind="stable"))
+    return _Ranked(scores, np.asarray(labels), _stable_order(scores))
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -59,6 +59,7 @@ from .stats import (
     BoxplotSummary,
     InsufficientPairsError,
     PairedTestResult,
+    _stable_order,
     summarize,
     wilcoxon_signed_rank,
 )
@@ -301,7 +302,7 @@ class _Records:
     @_lazy
     def rank(self) -> np.ndarray:
         """Every record's position in the stable sort of all the scores."""
-        order = np.argsort(self.scores, kind="stable")
+        order = _stable_order(self.scores)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
         return rank
@@ -659,6 +660,14 @@ def run_size_matched_audit(
     return _audit(runs, config, "size_matched")
 
 
+def _sweep_ratios(cfg: AuditConfig) -> tuple[float, ...]:
+    """The sweep's ratios; a sweep compares its first ratio with its last, so
+    it needs two."""
+    if len(cfg.ratios) < 2:
+        raise ValueError(f"a sweep needs at least two ratios, got {list(cfg.ratios)}")
+    return cfg.ratios
+
+
 def run_sampling_sweep(
     runs: Iterable[AuditRun], config: AuditConfig | None = None
 ) -> SweepResult:
@@ -675,7 +684,7 @@ def run_sampling_sweep(
     that comparison; its rows are read off the series.
     """
     cfg = config if config is not None else AuditConfig()
-    ratios = cfg.ratios
+    ratios = _sweep_ratios(cfg)
     comparison = f"ratio {ratios[0]:g} vs {ratios[-1]:g}"
     attempts = cfg.max_subsample_retries + 1
 
@@ -738,8 +747,8 @@ def run_synthetic_experiment(
     from .synthetic import apply_miscalibration, generate_population
 
     cfg = config if config is not None else AuditConfig()
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
+    n_runs = _integer("n_runs", n_runs, 1)
+    _sweep_ratios(cfg)
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
         raise ValueError("scenario names must be unique")

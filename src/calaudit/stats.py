@@ -34,6 +34,32 @@ class BoxplotSummary:
     n: int
 
 
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` from numpy's faster unstable sort.
+
+    Without ties the unstable order is the only ascending one. Otherwise each
+    sorted position gets the number of its tie block (NaNs, sorted last, form
+    one block), and the keys ``block * n + index`` are unique and ascend by
+    block and then by index, so sorting them and subtracting ``block * n``
+    puts every tie block back in index order.
+    """
+    v = np.asarray(values)
+    order = np.argsort(v)
+    n = order.size
+    if n < 2:
+        return order
+    s = v[order]
+    new_block = s[1:] != s[:-1]
+    if s[-1] != s[-1]:
+        new_block &= (s[1:] == s[1:]) | (s[:-1] == s[:-1])
+    if new_block.all():
+        return order
+    block = np.zeros(n, dtype=np.intp)
+    np.cumsum(new_block, out=block[1:])
+    block *= n
+    return np.sort(block + order) - block
+
+
 def _tie_bounds(sorted_values: np.ndarray) -> np.ndarray:
     """Bounds of the runs of equal values in an ascending array: run ``k``
     spans positions ``bounds[k]`` up to ``bounds[k + 1]``."""
@@ -51,7 +77,7 @@ def _block_midranks(bounds: np.ndarray) -> np.ndarray:
 def midranks(values: np.ndarray) -> np.ndarray:
     """1-based average ranks; tied values share the mean of their positions."""
     v = np.asarray(values)
-    order = np.argsort(v, kind="stable")
+    order = _stable_order(v)
     ranks = np.empty(v.size, dtype=np.float64)
     ranks[order] = _block_midranks(_tie_bounds(v[order]))
     return ranks

@@ -213,3 +213,65 @@ def sigmoid_two_branch(z) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def fit_platt_logaddexp(llrs, labels, tolerance=1e-8, max_iterations=100):
+    """``(a, b, iterations, final_gradient_norm, converged)`` of the Newton fit
+    whose line search compares log-likelihoods summed from
+    ``np.logaddexp(0, z)``: the loop of ``platt.fit_platt`` before its line
+    search took vector-form sums, kept as the reference for its bits (inputs
+    are assumed valid)."""
+    x = np.asarray(llrs, dtype=np.float64).reshape(-1)
+    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    pos, neg = x[y == 1], x[y == 0]
+    separable = bool(pos.min() > neg.max() or pos.max() < neg.min())
+
+    def log_likelihood(a, b):
+        z = a * x + b
+        return float(np.sum(y * z - np.logaddexp(0.0, z))), z
+
+    xx = x * x
+    a, b = 1.0, 0.0
+    ll, z = log_likelihood(a, b)
+    iterations = 0
+    gradient_norm = np.inf
+    for _ in range(max_iterations):
+        p = sigmoid_two_branch(z)
+        residual = y - p
+        g_a = float(residual @ x)
+        g_b = float(residual.sum())
+        gradient_norm = max(abs(g_a), abs(g_b))
+        if gradient_norm <= tolerance and not separable:
+            break
+        w = p * (1.0 - p)
+        h_aa = float(w @ xx)
+        h_ab = float(w @ x)
+        h_bb = float(w.sum())
+        det = h_aa * h_bb - h_ab * h_ab
+        if not det > 1e-12 * max(h_aa * h_bb, 1e-300):
+            ridge = 1e-8 * max(h_aa, h_bb, 1.0)
+            h_aa += ridge
+            h_bb += ridge
+            det = h_aa * h_bb - h_ab * h_ab
+        da = (h_bb * g_a - h_ab * g_b) / det
+        db = (h_aa * g_b - h_ab * g_a) / det
+        slack = 1e-10 * (1.0 + abs(ll))
+        step = 1.0
+        new_ll, new_z = log_likelihood(a + da, b + db)
+        halvings = 0
+        while new_ll < ll - slack and halvings < 60:
+            step *= 0.5
+            halvings += 1
+            new_ll, new_z = log_likelihood(a + step * da, b + step * db)
+        if new_ll < ll - slack:
+            break
+        a += step * da
+        b += step * db
+        ll, z = new_ll, new_z
+        iterations += 1
+    else:
+        residual = y - sigmoid_two_branch(z)
+        gradient_norm = max(abs(float(residual @ x)), abs(float(residual.sum())))
+
+    converged = bool(gradient_norm <= tolerance and not separable)
+    return float(a), float(b), iterations, float(gradient_norm), converged

@@ -564,12 +564,20 @@ class TestSamplingSweep:
         s = calibrated_scoreset(500, seed=6)
         # one class in the validation set: no Platt fit, so no Platt scores
         validation = ScoreSet(scores=s.scores, labels=np.zeros(s.n, dtype=int))
-        cfg = AuditConfig(metrics=("delta_ce",), ratios=(1.0,), seed=0)
+        cfg = AuditConfig(metrics=("delta_ce",), ratios=(0.5, 1.0), seed=0)
         result = run_sampling_sweep(
             [AuditRun(run_index=0, validation=validation, test=s)], cfg
         )
-        assert math.isnan(result.rows[0][3])
+        assert len(result.rows) == 2 and all(math.isnan(row[3]) for row in result.rows)
         assert any("Platt" in note for note in result.provenance["notes"])
+
+    def test_one_ratio_rejected_before_any_run_is_read(self):
+        def runs():
+            raise AssertionError("a run was read")
+            yield
+
+        with pytest.raises(ValueError, match=r"at least two ratios, got \[1.0\]"):
+            run_sampling_sweep(runs(), AuditConfig(ratios=(1.0,)))
 
     def test_csv_export_schema(self):
         s = calibrated_scoreset(500, seed=1)
@@ -632,6 +640,25 @@ class TestSyntheticExperiment:
                 [SyntheticScenario(1.0, 1.0), SyntheticScenario(1.0, 1.0)],
                 2,
                 AuditConfig(population_size=2000),
+            )
+
+    @pytest.mark.parametrize("n_runs", [True, 2.5, np.float64(3.0), 0])
+    def test_n_runs_must_be_a_positive_integer(self, n_runs):
+        with pytest.raises(ValueError, match="n_runs"):
+            run_synthetic_experiment(
+                [SyntheticScenario(1.0, 1.0)], n_runs, AuditConfig(population_size=2000)
+            )
+
+    def test_one_ratio_rejected_before_any_population_is_drawn(self, monkeypatch):
+        import calaudit.synthetic
+
+        def no_population(*args, **kwargs):
+            raise AssertionError("population generated")
+
+        monkeypatch.setattr(calaudit.synthetic, "generate_population", no_population)
+        with pytest.raises(ValueError, match="at least two ratios"):
+            run_synthetic_experiment(
+                [SyntheticScenario(1.0, 1.0)], 2, AuditConfig(ratios=(1.0,))
             )
 
 

@@ -15,6 +15,7 @@ from calaudit import (
     roc_auc,
     to_llr,
 )
+from calaudit import platt
 from calaudit.platt import PlattParams, sigmoid
 
 import oracles
@@ -141,17 +142,71 @@ _GOLDEN_FITS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_GOLDEN_FITS))
-def test_fit_platt_golden_params(name):
-    params = fit_platt(*_golden_fit_input(name))
-    got = (
+def _pinned(params):
+    return (
         repr(params.a),
         repr(params.b),
         params.iterations,
         repr(params.final_gradient_norm),
         params.converged,
     )
-    assert got == _GOLDEN_FITS[name]
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_FITS))
+def test_fit_platt_golden_params(name):
+    assert _pinned(fit_platt(*_golden_fit_input(name))) == _GOLDEN_FITS[name]
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_FITS))
+def test_golden_params_hold_with_every_decision_on_logaddexp(name, monkeypatch):
+    exact_calls = []
+    exact = platt._exact_log_likelihood
+    monkeypatch.setattr(platt, "_DECISION_MARGIN", np.inf)
+    monkeypatch.setattr(
+        platt, "_exact_log_likelihood", lambda y, z: exact_calls.append(1) or exact(y, z)
+    )
+    assert _pinned(fit_platt(*_golden_fit_input(name))) == _GOLDEN_FITS[name]
+    assert exact_calls
+
+
+@st.composite
+def _platt_inputs(draw):
+    """Valid (llrs, labels) built to stress the line search: tied, constant and
+    widely spread llrs, separable sets and a lone positive."""
+    n = draw(st.integers(2, 5000))
+    kind = draw(st.sampled_from(["random", "ties", "constant", "separable", "one_positive"]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 5.0, 16.0, 60.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ties":
+        llrs = scale * rng.integers(-3, 4, n).astype(np.float64)
+    elif kind == "constant":
+        llrs = np.full(n, scale * rng.normal())
+    else:
+        llrs = scale * rng.normal(size=n)
+    if kind == "separable":
+        labels = (llrs > np.median(llrs)).astype(np.int64)
+    elif kind == "one_positive":
+        labels = np.zeros(n, dtype=np.int64)
+    else:
+        labels = rng.binomial(1, oracles.sigmoid_two_branch(draw(st.floats(-3, 3)) * llrs))
+    # both classes present, as fit_platt requires
+    labels[rng.integers(n)] = 1
+    if labels.all():
+        labels[0] = 0
+    return llrs, labels
+
+
+@settings(database=None, deadline=None, max_examples=150)
+@given(_platt_inputs())
+def test_fit_platt_equals_the_logaddexp_fit(data):
+    llrs, labels = data
+    # ties that overlap only at one llr can drive the slope to inf and NaN in
+    # both fits alike; that is not what is compared here
+    with np.errstate(all="ignore"):
+        params = fit_platt(llrs, labels)
+        expected = oracles.fit_platt_logaddexp(llrs, labels)
+    got = (params.a, params.b, params.iterations, params.final_gradient_norm, params.converged)
+    assert repr(got) == repr(expected)
 
 
 class TestApplyPlatt:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from calaudit import InsufficientPairsError, summarize, wilcoxon_signed_rank
 from calaudit import stats
@@ -21,6 +23,36 @@ class TestMidranks:
 
     def test_all_equal(self):
         np.testing.assert_array_equal(midranks(np.array([5.0] * 4)), [2.5] * 4)
+
+
+_TIE_PRONE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(database=None, deadline=None)
+@given(
+    st.one_of(
+        st.lists(_TIE_PRONE, max_size=60).map(lambda v: np.array(v, dtype=np.float64)),
+        st.lists(st.sampled_from([0.0, -0.0]), max_size=60).map(
+            lambda v: np.array(v, dtype=np.float64)
+        ),
+        st.tuples(_TIE_PRONE, st.integers(0, 60)).map(lambda t: np.full(t[1], t[0])),
+        st.lists(st.integers(-3, 3), max_size=60).map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.integers(-(2**62), 2**62), max_size=60).map(
+            lambda v: np.array(v, dtype=np.int64)
+        ),
+    )
+)
+@example(np.array([], dtype=np.float64))
+@example(np.array([2.5]))
+@example(np.array([1, 0], dtype=np.int64))
+def test_stable_order_equals_stable_argsort(values):
+    expected = np.argsort(values, kind="stable")
+    got = stats._stable_order(values)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
 
 
 class TestWilcoxonSignedRank:
