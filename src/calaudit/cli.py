@@ -220,6 +220,7 @@ def cmd_audit(args: argparse.Namespace) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> None:
     cfg = _config(args, metrics=SWEEP_METRICS, ratios=args.ratios)
+    harness._sweep_ratios(cfg)  # refuse one ratio before the manifest is read
     result = harness.run_sampling_sweep(_load_manifest(args.manifest), cfg)
     harness.write_sweep_csv(result, args.output)
     _write_json(result.to_dict(), Path(args.output).with_suffix(".json"))

@@ -172,6 +172,7 @@ class TestAuditCommand:
         [
             ("audit", ["--size-matched", "--seed", "-1"], "seed"),
             ("sweep", ["--ratios", "0.1,0.1000001,1"], "distinct"),
+            ("sweep", ["--ratios", "1"], "at least two ratios"),
         ],
     )
     def test_bad_seed_or_ratios_rejected_before_reading_files(
@@ -230,14 +231,6 @@ class TestSweepCommand:
         }
         summary = json.loads((tmp_path / "sweep.json").read_text())
         assert "tests" in summary and "summaries" in summary
-
-    def test_one_ratio_is_refused(self, tmp_path, capsys):
-        manifest = _manifest(tmp_path, n_runs=3, n_test=600, seed=4)
-        out = tmp_path / "sweep.csv"
-        code = main(["sweep", "--manifest", manifest, "--output", str(out), "--ratios", "1"])
-        assert code == 1
-        assert "at least two ratios" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestSyntheticCommand:
