@@ -50,7 +50,8 @@ def _equal_width_bins(scores: np.ndarray, n_bins: int) -> np.ndarray:
 
 def _equal_count_bins(positions: np.ndarray, n_bins: int) -> np.ndarray:
     """Equal-count bin index of every record, from its position in the stable
-    sort of its set: ``np.array_split`` runs of those positions, larger first."""
+    sort of its set: ``np.array_split`` runs of those positions, larger first,
+    gathered from the bin index of every position."""
     n = positions.size
     if n < n_bins:
         raise ValueError(
@@ -58,9 +59,9 @@ def _equal_count_bins(positions: np.ndarray, n_bins: int) -> np.ndarray:
         )
     base, extras = divmod(n, n_bins)
     # the first `extras` bins hold base + 1 positions each, the rest base
-    return np.where(
-        positions < extras * (base + 1), positions // (base + 1), (positions - extras) // base
-    )
+    sizes = np.full(n_bins, base)
+    sizes[:extras] += 1
+    return np.repeat(np.arange(n_bins), sizes)[positions]
 
 
 def bin_scores(

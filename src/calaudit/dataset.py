@@ -24,49 +24,57 @@ class DegenerateSampleError(ValueError):
     """Raised when a resampling operation produces an unusable subset."""
 
 
-# the stored columns; ``_ids`` holds the sample ids, see :class:`_SampleIds`
-_COLUMNS = ("scores", "labels", "_ids", "groups")
+class _Rendered:
+    """A ``ScoreSet`` string column whose default is rendered on first read,
+    stored in the instance under the field's name with a leading underscore.
 
-
-class _SampleIds:
-    """The ``ScoreSet.sample_ids`` field, stored in the instance's ``_ids``.
-
-    A set built without ids stores its records' integer indices there, and
-    ``take`` gathers those integers. The first read renders them as the
-    read-only ``str`` array ``np.arange(n).astype(str)`` holds for those
-    indices and stores that in their place. A sweep reads no id, so its sets
+    A set built without the column stores a stand-in there, which ``take``
+    gathers, or keeps when it is ``None``, as it gathers any column. The first
+    read renders ``render(stand_in, n)``, marks it read-only and stores it in
+    the stand-in's place. A sweep reads neither default column, so its sets
     never build the strings.
     """
+
+    def __init__(self, render) -> None:
+        self.render = render
+
+    def __set_name__(self, owner, name) -> None:
+        self.stored = "_" + name
 
     def __get__(self, obj, owner=None):
         if obj is None:
             return None  # the field's default
-        ids = obj._ids
-        if ids.dtype.kind != "U":
-            ids = ids.astype(str)
-            ids.setflags(write=False)
-            object.__setattr__(obj, "_ids", ids)
-        return ids
+        column = getattr(obj, self.stored)
+        if column is None or column.dtype.kind != "U":
+            column = self.render(column, obj.n)
+            column.setflags(write=False)
+            object.__setattr__(obj, self.stored, column)
+        return column
 
-    def __set__(self, obj, value):
-        object.__setattr__(obj, "_ids", value)
+    def __set__(self, obj, value) -> None:
+        object.__setattr__(obj, self.stored, value)
+
+
+# the stored columns, see :class:`_Rendered`
+_COLUMNS = ("scores", "labels", "_sample_ids", "_groups")
 
 
 @dataclass(frozen=True, eq=False)
 class ScoreSet:
     """Immutable evaluation population: probability scores, binary labels, group tags.
 
-    ``sample_ids`` default to the record index (as strings, rendered when first
-    read) and ``groups`` default to :data:`UNKNOWN_GROUP`. Arrays are copied
-    and marked read-only, so instances are safe to share across concurrent
-    evaluation tasks. Sets compare and hash by identity, as arrays have no
-    single truth value to compare by.
+    ``sample_ids`` default to the record index and ``groups`` to
+    :data:`UNKNOWN_GROUP`, both rendered as strings when first read: until
+    then a set stores its records' integer indices for the ids and ``None``
+    for the groups. Arrays are copied and marked read-only, so instances are
+    safe to share across concurrent evaluation tasks. Sets compare and hash by
+    identity, as arrays have no single truth value to compare by.
     """
 
     scores: np.ndarray
     labels: np.ndarray
-    sample_ids: np.ndarray | None = _SampleIds()
-    groups: np.ndarray | None = None
+    sample_ids: np.ndarray | None = _Rendered(lambda indices, n: indices.astype(str))
+    groups: np.ndarray | None = _Rendered(lambda _, n: np.full(n, UNKNOWN_GROUP))
 
     def __post_init__(self) -> None:
         scores = np.array(self.scores, dtype=np.float64, copy=True).reshape(-1)
@@ -81,20 +89,20 @@ class ScoreSet:
         if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("labels must be 0 or 1")
 
-        if self._ids is None:
+        if self._sample_ids is None:
             sample_ids = np.arange(n)
         else:
-            sample_ids = np.array(self._ids, dtype=str, copy=True).reshape(-1)
-        if self.groups is None:
-            groups = np.full(n, UNKNOWN_GROUP)
-        else:
-            groups = np.array(self.groups, dtype=str, copy=True).reshape(-1)
+            sample_ids = np.array(self._sample_ids, dtype=str, copy=True).reshape(-1)
+        groups = self._groups
+        if groups is not None:
+            groups = np.array(groups, dtype=str, copy=True).reshape(-1)
         for name, arr in (("sample_ids", sample_ids), ("groups", groups)):
-            if arr.size != n:
+            if arr is not None and arr.size != n:
                 raise ValueError(f"{name} must have the same length as scores")
 
         for name, arr in zip(_COLUMNS, (scores, labels, sample_ids, groups)):
-            arr.setflags(write=False)
+            if arr is not None:
+                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
@@ -117,8 +125,10 @@ class ScoreSet:
             raise ValueError("a ScoreSet must contain at least one record")
         subset = object.__new__(ScoreSet)
         for name in _COLUMNS:
-            column = getattr(self, name)[idx].reshape(-1)
-            column.setflags(write=False)
+            column = getattr(self, name)
+            if column is not None:
+                column = column[idx].reshape(-1)
+                column.setflags(write=False)
             object.__setattr__(subset, name, column)
         return subset
 
@@ -150,10 +160,12 @@ def _write_csv(
 
 def _write_json(payload: dict, path: str | Path) -> None:
     """Write every calaudit JSON document: 2-space indent, sorted keys, no NaN
-    (missing values must already be ``None``), trailing newline."""
+    (missing values must already be ``None``), trailing newline. The text is
+    encoded before the file is opened, so a payload that cannot be written
+    leaves no partial file."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_scoreset(source: str | IO[str]) -> ScoreSet:
@@ -250,7 +262,11 @@ def subsample_indices(labels: np.ndarray, fraction: float, seed: Seed) -> np.nda
     m = int(round(fraction * n))
     if m < 2:
         raise DegenerateSampleError(f"subsample of {m} record(s) is too small")
-    idx = np.sort(np.random.default_rng(seed).choice(n, size=m, replace=False))
+    if m == n:
+        # every record, which is what any seed's draw would return once sorted
+        idx = np.arange(n)
+    else:
+        idx = np.sort(np.random.default_rng(seed).choice(n, size=m, replace=False))
     chosen = labels[idx]
     if chosen.min() == chosen.max():
         raise DegenerateSampleError("subsample lost one of the label classes")

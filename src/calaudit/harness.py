@@ -9,16 +9,19 @@ array of indices into its run's test records, and its metrics read the
 gathered ``scores[idx]``, ``labels[idx]`` and Platt scores; no ``ScoreSet`` is
 built per cell. Each run's test scores are stable-sorted once. That sort breaks
 ties by record index, and so does the stable sort of a sorted subset, so the
-run's order restricted to a cell is exactly the cell's own stable order, from
-which equal-count (AdaECE) bins are cut without a sort per cell. The same
-order, scattered from those positions, is the cell's sorted view
-(``discrimination._Ranked``): its tie blocks and running count of positives
-give the ROC and PR areas and balanced accuracy, with the counts as exact
-integers and the rank sums in record order. The records
-themselves are never reordered: subsample seeds draw record indices, and each
-cell's bin sums accumulate in record-index order, because floating-point sums
-in another order could differ in the last digit and outputs are byte-identical
-to evaluating the cell as a set of its own.
+run's order restricted to a cell is exactly the cell's own stable order. A
+cell's equal-count (AdaECE) bins are gathered from those positions out of the
+bin pattern, without a sort per cell. The same order, scattered from those
+positions, is the cell's sorted view (``discrimination._Ranked``): its tie
+blocks and running count of positives give the ROC and PR areas and balanced
+accuracy, with the counts as exact integers and the rank sums in record order.
+The records themselves are never reordered: subsample seeds draw record
+indices (a subsample of every record takes no draw), and each cell's
+bin sums accumulate in record-index order, because floating-point sums in
+another order could differ in the last digit and outputs are byte-identical to
+evaluating the cell as a set of its own. The synthetic runs are ``ScoreSet``
+splits built without sample ids or group tags; no sweep reads either, so
+neither is rendered as strings.
 
 The proper scoring rules come from per-run loss tables: each record's
 ``y*log(s) + (1-y)*log(1-s)`` on clipped scores and its ``(s - y)**2``, raw

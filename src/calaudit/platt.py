@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,8 +54,13 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """:func:`sigmoid` of ``z`` from its ``e = exp(-|z|)``."""
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    """:func:`sigmoid` of ``z`` from its ``e = exp(-|z|)``.
+
+    ``e <= 1``, so ``max(e, z >= 0)`` is exactly 1.0 for ``z >= 0`` and ``e``
+    below, without a select; a NaN ``z`` gives a NaN ``e``, which ``maximum``
+    propagates.
+    """
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def to_llr(
@@ -88,7 +94,10 @@ def _log_likelihood(
     softplus += np.maximum(z, 0.0)
     terms = y * z
     terms -= softplus
-    return float(np.add.reduce(terms)), z, e
+    # every term is <= 0: a sum past the float range is -inf, a decrease like
+    # any other
+    with np.errstate(over="ignore"):
+        return float(np.add.reduce(terms)), z, e
 
 
 def _exact_log_likelihood(y: np.ndarray, z: np.ndarray) -> float:
@@ -115,10 +124,13 @@ def _worse(
     The vector-form values ``ll`` and ``new_ll`` decide when their gap to the
     threshold exceeds ``_DECISION_MARGIN * (1 + |ll| + |new_ll|)``, 1% of the
     slack and over 3000 times the largest difference measured between the two
-    forms. Closer calls, and NaN, are recomputed with ``logaddexp``, so every
-    fit takes the steps, and returns the bits, of one that sums ``logaddexp``
-    throughout.
+    forms. Closer calls are recomputed with ``logaddexp``, so every fit takes
+    the steps, and returns the bits, of one that sums ``logaddexp``
+    throughout. A ``new_ll`` of -inf (a sum past the float range) or NaN counts
+    as worse without a recomputation, which would overflow too.
     """
+    if not math.isfinite(new_ll):
+        return True
     gap = new_ll - _threshold(ll)
     if abs(gap) > _DECISION_MARGIN * (1.0 + abs(ll) + abs(new_ll)):
         return gap < 0.0
@@ -143,7 +155,9 @@ def fit_platt(
     likelihood decrease; converged once the gradient max-norm drops to
     ``tolerance``. Perfectly separated inputs have no finite optimum: the
     iteration then runs to ``max_iterations`` and the result is flagged
-    ``converged=False`` so the caller can decide.
+    ``converged=False`` so the caller can decide. A step that no halving makes
+    finite (an infinite slope, or ``a * llr`` overflowing) ends the fit at its
+    last finite point, also flagged ``converged=False``.
     """
     x = np.asarray(llrs, dtype=np.float64).reshape(-1)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
@@ -158,6 +172,9 @@ def fit_platt(
 
     separable = _separable(x, y)
     xx = x * x
+    # z = a * x + b rounds monotonically in x, so it is finite for every
+    # record when it is finite at the smallest and largest llr
+    x_ends = (float(x.min()), float(x.max()))
     a, b = 1.0, 0.0
     # z is always a * x + b at the current (a, b), and e its exp(-|z|): the
     # line search returns the z it accepted, computed from the same floats as
@@ -187,16 +204,22 @@ def fit_platt(
         da = (h_bb * g_a - h_ab * g_b) / det
         db = (h_aa * g_b - h_ab * g_a) / det
         step = 1.0
-        new_ll, new_z, new_e = _log_likelihood(x, y, a + da, b + db)
         halvings = 0
-        while (worse := _worse(y, ll, z, new_ll, new_z)) and halvings < 60:
+        while True:
+            new_a, new_b = a + step * da, b + step * db
+            # a candidate whose z is not finite everywhere (a or b not finite,
+            # or a * x overflowing) is worse without evaluating it
+            worse = not all(math.isfinite(new_a * end + new_b) for end in x_ends)
+            if not worse:
+                new_ll, new_z, new_e = _log_likelihood(x, y, new_a, new_b)
+                worse = _worse(y, ll, z, new_ll, new_z)
+            if not worse or halvings == 60:
+                break
             step *= 0.5
             halvings += 1
-            new_ll, new_z, new_e = _log_likelihood(x, y, a + step * da, b + step * db)
         if worse:
             break
-        a += step * da
-        b += step * db
+        a, b = new_a, new_b
         ll, z, e = new_ll, new_z, new_e
         iterations += 1
     else:

@@ -16,6 +16,14 @@ def make_scoreset(scores, labels, groups=None) -> ScoreSet:
     )
 
 
+def counted(counts):
+    """(llrs, labels) holding, per llr, the given numbers of (negatives, positives)."""
+    sizes = [n + p for n, p in counts.values()]
+    llrs = np.repeat(np.array(list(counts), dtype=np.float64), sizes)
+    labels = np.concatenate([[0] * n + [1] * p for n, p in counts.values()])
+    return llrs, labels
+
+
 def calibrated_scoreset(n: int, seed: int) -> ScoreSet:
     """Scores uniform on (0, 1) and labels drawn Bernoulli(score)."""
     rng = np.random.default_rng(seed)

@@ -216,11 +216,12 @@ def sigmoid_two_branch(z) -> np.ndarray:
 
 
 def fit_platt_logaddexp(llrs, labels, tolerance=1e-8, max_iterations=100):
-    """``(a, b, iterations, final_gradient_norm, converged)`` of the Newton fit
-    whose line search compares log-likelihoods summed from
+    """``(a, b, iterations, final_gradient_norm, converged, took_nan)`` of the
+    Newton fit whose line search compares log-likelihoods summed from
     ``np.logaddexp(0, z)``: the loop of ``platt.fit_platt`` before its line
     search took vector-form sums, kept as the reference for its bits (inputs
-    are assumed valid)."""
+    are assumed valid). ``took_nan`` says whether the fit accepted a step whose
+    log-likelihood is NaN, which every comparison then lets through."""
     x = np.asarray(llrs, dtype=np.float64).reshape(-1)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     pos, neg = x[y == 1], x[y == 0]
@@ -235,6 +236,7 @@ def fit_platt_logaddexp(llrs, labels, tolerance=1e-8, max_iterations=100):
     ll, z = log_likelihood(a, b)
     iterations = 0
     gradient_norm = np.inf
+    took_nan = False
     for _ in range(max_iterations):
         p = sigmoid_two_branch(z)
         residual = y - p
@@ -268,10 +270,11 @@ def fit_platt_logaddexp(llrs, labels, tolerance=1e-8, max_iterations=100):
         a += step * da
         b += step * db
         ll, z = new_ll, new_z
+        took_nan = took_nan or math.isnan(ll)
         iterations += 1
     else:
         residual = y - sigmoid_two_branch(z)
         gradient_norm = max(abs(float(residual @ x)), abs(float(residual.sum())))
 
     converged = bool(gradient_norm <= tolerance and not separable)
-    return float(a), float(b), iterations, float(gradient_norm), converged
+    return float(a), float(b), iterations, float(gradient_norm), converged, took_nan

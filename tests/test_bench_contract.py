@@ -1,7 +1,9 @@
-"""The benchmark tracer patches calaudit attributes by name; every one must exist.
+"""The benchmark's contract with calaudit, checked without a benchmark run.
 
-A refactor that drops or renames a traced function fails here at once instead
-of deep inside a benchmark run.
+The tracer patches calaudit attributes by name, so every one must exist, and
+each gated workload must pass its own output checks. A refactor that drops or
+renames a traced function, or changes what a workload reads, fails here at
+once instead of deep inside a benchmark run.
 """
 
 from pathlib import Path
@@ -34,3 +36,17 @@ def test_tracer_installs_on_every_target_and_restores_it(tracing):
         tracer.uninstall()
     for owner, attr, fn in originals:
         assert owner.__dict__[attr] is fn, f"{attr} not restored"
+
+
+@pytest.mark.parametrize("name", ["SyntheticSweep", "SmallGroupAudits"])
+def test_gated_workload_passes_its_checks_at_tiny_size(name, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import workloads
+
+    workload = getattr(workloads, name)(seed=7, size="tiny", workdir=tmp_path, digests={})
+    workload.setup()
+    for step in workload.steps():
+        results, _ = step.check(step.run())
+        assert sorted(results) == sorted(step.ops)
+        for op, (_, problems) in results.items():
+            assert problems == [], f"{op}: {problems}"

@@ -95,6 +95,30 @@ class TestScoreSet:
             "11,1.0,1,unknown\n"
         )
 
+    def test_default_groups_render_on_first_read(self):
+        n = 12
+        s = ScoreSet(scores=np.linspace(0.0, 1.0, n), labels=np.arange(n) % 2)
+        sub = s.take(np.array([1, 3, 4, 7, 9, 10, 11]))
+        assert vars(s)["_groups"] is None and vars(sub)["_groups"] is None
+        j = np.array([0, 2, 5, 6])
+        before = sub.take(j)
+        groups = sub.groups
+        expected = np.full(sub.n, UNKNOWN_GROUP)
+        assert groups.dtype == expected.dtype
+        np.testing.assert_array_equal(groups, expected)
+        assert not groups.flags.writeable
+        after = sub.take(j)
+        for taken in (before, after):
+            assert taken.groups.dtype == expected.dtype
+            np.testing.assert_array_equal(taken.groups, expected[j])
+        explicit = ScoreSet(scores=s.scores, labels=s.labels, groups=np.full(n, UNKNOWN_GROUP))
+        texts = []
+        for t in (s, explicit):
+            buffer = io.StringIO()
+            write_scoreset_csv(t, buffer)
+            texts.append(buffer.getvalue())
+        assert texts[0] == texts[1]
+
     @pytest.mark.parametrize("ids", [["b7", "a", "zz"], [5, 60, 7]])
     def test_explicit_ids_stored_as_given_strings(self, ids):
         s = ScoreSet(scores=np.array([0.1, 0.5, 0.9]), labels=np.array([0, 1, 1]), sample_ids=ids)
@@ -253,9 +277,15 @@ def test_score_csv_round_trip_property(s):
 class TestSubsample:
     def test_full_fraction_is_identity(self):
         s = calibrated_scoreset(50, seed=1)
-        again = s.take(subsample_indices(s.labels, 1.0, 4))
-        np.testing.assert_array_equal(again.scores, s.scores)
-        np.testing.assert_array_equal(again.sample_ids, s.sample_ids)
+        drawn = np.random.default_rng(4).choice(50, size=50, replace=False)
+        # 0.995 * 50 rounds to every record as well
+        for fraction in (1.0, 0.995):
+            idx = subsample_indices(s.labels, fraction, 4)
+            assert idx.dtype == drawn.dtype
+            np.testing.assert_array_equal(idx, np.arange(50))
+            again = s.take(idx)
+            np.testing.assert_array_equal(again.scores, s.scores)
+            np.testing.assert_array_equal(again.sample_ids, s.sample_ids)
 
     def test_ten_percent_of_20000(self):
         s = calibrated_scoreset(20_000, seed=2)
@@ -280,6 +310,9 @@ class TestSubsample:
             # 2-record draws from this set often lose the lone positive
             for seed in range(50):
                 s.take(subsample_indices(s.labels, 0.5, seed))
+        # a full-size subsample is not drawn, but is checked all the same
+        with pytest.raises(DegenerateSampleError, match="lost one of the label classes"):
+            subsample_indices(np.zeros(5, dtype=np.int64), 1.0, 0)
 
     def test_fraction_out_of_range(self):
         s = calibrated_scoreset(10, seed=0)

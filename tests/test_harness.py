@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -35,8 +36,10 @@ from calaudit import (
     run_synthetic_experiment,
     subsample_indices,
     to_llr,
+    write_audit_json,
     write_sweep_csv,
 )
+from calaudit import harness
 from calaudit.calibration import _equal_count_bins
 from calaudit.harness import (
     DISCRIMINATION_METRICS,
@@ -44,9 +47,10 @@ from calaudit.harness import (
     _Records,
     _metric_values,
 )
+from calaudit.platt import sigmoid
 
 import oracles
-from helpers import calibrated_scoreset, match_indices
+from helpers import calibrated_scoreset, counted, match_indices
 
 
 def _two_group_runs(
@@ -515,6 +519,32 @@ def test_non_converged_platt_fit_leaves_only_its_deltas_missing():
         assert math.isnan(value) == (run == 2 and metric.startswith("delta"))
 
 
+def test_diverging_platt_fit_is_a_non_converged_run(tmp_path):
+    # Newton's second step from these validation scores sends the slope to inf
+    llrs, labels = counted(
+        {-15: (0, 48), -10: (0, 55), -5: (0, 54), 0: (16, 29), 5: (55, 1), 10: (43, 1), 15: (33, 0)}
+    )
+    validation = ScoreSet(scores=sigmoid(llrs), labels=labels)
+    rng = np.random.default_rng(0)
+    scores = rng.random(120)
+    test = ScoreSet(
+        scores=scores, labels=rng.binomial(1, scores), groups=np.array(["a"] * 90 + ["b"] * 30)
+    )
+    cfg = AuditConfig(metrics=("ece", "delta_ce", "delta_brier"))
+    report = run_group_audit([AuditRun(0, validation, test)], cfg)
+    platt = report.provenance["platt"][0]
+    assert (platt["converged"], platt["iterations"]) == (False, 1)
+    assert platt["a"] == pytest.approx(-145.046, abs=1e-3)
+    assert platt["b"] == pytest.approx(3.461, abs=1e-3)
+    assert "run 0: Platt fit did not converge" in report.provenance["notes"]
+    for metric in cfg.metrics:
+        for values in report.series[metric].values():
+            assert math.isnan(values[0]) == metric.startswith("delta")
+    path = tmp_path / "report.json"
+    write_audit_json(report, str(path))
+    assert json.loads(path.read_text())["provenance"]["platt"][0]["a"] == platt["a"]
+
+
 class TestSamplingSweep:
     def test_long_form_shape(self):
         runs = []
@@ -648,6 +678,24 @@ class TestSyntheticExperiment:
             run_synthetic_experiment(
                 [SyntheticScenario(1.0, 1.0)], n_runs, AuditConfig(population_size=2000)
             )
+
+    def test_default_columns_stay_unrendered(self, monkeypatch):
+        seen = []
+        sweep = harness.run_sampling_sweep
+
+        def spy(runs, cfg):
+            runs = list(runs)
+            seen.extend(runs)
+            return sweep(runs, cfg)
+
+        monkeypatch.setattr(harness, "run_sampling_sweep", spy)
+        cfg = AuditConfig(metrics=SWEEP_METRICS, population_size=2000, ratios=(0.5, 1.0))
+        run_synthetic_experiment([SyntheticScenario(1.5, 1.5)], 3, cfg)
+        assert len(seen) == 3
+        for run in seen:
+            for s in (run.validation, run.test):
+                assert vars(s)["_groups"] is None
+                assert vars(s)["_sample_ids"].dtype.kind == "i"
 
     def test_one_ratio_rejected_before_any_population_is_drawn(self, monkeypatch):
         import calaudit.synthetic

@@ -3,7 +3,10 @@
 import io
 import math
 
+import pytest
+
 from calaudit import write_audit_json, write_audit_metric_csvs, write_sweep_csv
+from calaudit.dataset import _write_json
 from calaudit.harness import AuditReport, SweepResult
 from calaudit.stats import BoxplotSummary, PairedTestResult
 
@@ -116,6 +119,13 @@ def test_audit_json_bytes(tmp_path):
   }
 }
 """
+
+
+def test_json_that_cannot_be_encoded_leaves_no_file(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write_json({"a": 1.0, "b": math.nan}, path)
+    assert not path.exists()
 
 
 def test_sweep_summary_dict():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calaudit import (
@@ -19,12 +19,12 @@ from calaudit import platt
 from calaudit.platt import PlattParams, sigmoid
 
 import oracles
-from helpers import calibrated_scoreset, make_scoreset
+from helpers import calibrated_scoreset, counted, make_scoreset
 
-# signed zeros, values where exp under- or overflows, and subnormals
+# signed zeros, values where exp under- or overflows, subnormals and NaN
 _EDGE_Z = (
     0.0, -0.0, 800.0, -800.0, 709.8, -709.8, 745.2, -745.2,
-    5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, np.inf, -np.inf,
+    5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, np.inf, -np.inf, np.nan,
 )
 
 
@@ -38,7 +38,11 @@ _EDGE_Z = (
 )
 def test_sigmoid_equals_the_two_branch_form(values):
     z = np.array(values)
-    assert sigmoid(z).tobytes() == oracles.sigmoid_two_branch(z).tobytes()
+    got = sigmoid(z)
+    # NaN stays NaN; its sign bit is not compared
+    nan = np.isnan(z)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == oracles.sigmoid_two_branch(z[~nan]).tobytes()
 
 
 class TestToLlr:
@@ -121,6 +125,14 @@ class TestFitPlatt:
             fit_platt(np.array([0.0, np.inf]), np.array([0, 1]))
 
 
+# ties that overlap only in a few records, as the tie generator of
+# _platt_inputs draws them at llr scale 16: Newton's second step sends the
+# slope to inf, where the reference fit ends at a = b = nan
+_DIVERGING = counted(
+    {-48: (0, 8), -32: (0, 5), -16: (0, 8), 0: (4, 0), 16: (4, 1), 32: (5, 0), 48: (5, 0)}
+)
+
+
 def _golden_fit_input(name):
     if name == "calibrated":
         rng = np.random.default_rng(20231)
@@ -130,15 +142,20 @@ def _golden_fit_input(name):
         rng = np.random.default_rng(20232)
         llrs = to_llr(rng.random(4000))
         return llrs, rng.binomial(1, 1.0 / (1.0 + np.exp(-(2.5 * llrs - 0.75))))
+    if name == "diverging":
+        return _DIVERGING
     return np.full(100, 0.7), np.array([1] * 30 + [0] * 70)
 
 
 # (repr(a), repr(b), iterations, repr(final_gradient_norm), converged), as the
-# fit gave them with the two-branch sigmoid and a z recomputed every iteration
+# fit gave them with the two-branch sigmoid and a z recomputed every iteration;
+# the diverging fit stops at its last finite point (pytest turns numpy
+# warnings into errors, so the infinite step is never evaluated)
 _GOLDEN_FITS = {
     "calibrated": ("0.9914549212465287", "0.011679524226005114", 3, "5.1514348342607263e-14", True),
     "distorted": ("2.346542585457911", "-0.6716440110517925", 6, "1.609379296496627e-12", True),
     "constant": ("0.27308156492705626", "-1.0384549558356337", 4, "1.0685785589714669e-11", True),
+    "diverging": ("-45.28355992132778", "-0.00017371511751767632", 1, "16.0", False),
 }
 
 
@@ -198,14 +215,20 @@ def _platt_inputs(draw):
 
 @settings(database=None, deadline=None, max_examples=150)
 @given(_platt_inputs())
+@example(_DIVERGING)
 def test_fit_platt_equals_the_logaddexp_fit(data):
     llrs, labels = data
-    # ties that overlap only at one llr can drive the slope to inf and NaN in
-    # both fits alike; that is not what is compared here
+    params = fit_platt(llrs, labels)
+    # ties that overlap only at one llr can drive the oracle's slope to a z that
+    # overflows, whose NaN log-likelihood it accepts, and on to NaN (or to a
+    # finite slope past 1e306); fit_platt stops at its last finite point instead
     with np.errstate(all="ignore"):
-        params = fit_platt(llrs, labels)
-        expected = oracles.fit_platt_logaddexp(llrs, labels)
-    got = (params.a, params.b, params.iterations, params.final_gradient_norm, params.converged)
+        *expected, took_nan = oracles.fit_platt_logaddexp(llrs, labels)
+    if took_nan:
+        assert math.isfinite(params.a) and math.isfinite(params.b)
+        assert not params.converged
+        return
+    got = [params.a, params.b, params.iterations, params.final_gradient_norm, params.converged]
     assert repr(got) == repr(expected)
 
 
