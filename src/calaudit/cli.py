@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import harness
-from .calibration import DEFAULT_CLIP_EPSILON, DEFAULT_N_BINS
-from .dataset import ScoreSetFormatError, _write_json, load_scoreset
-from .harness import AuditConfig, AuditRun, DEFAULT_RATIOS, DEFAULT_SEED, SWEEP_METRICS
+from .dataset import ScoreSetFormatError, _csv_records, _write_json, load_scoreset
+from .harness import AuditConfig, AuditRun, SWEEP_METRICS
 from .synthetic import SyntheticScenario
 
 
@@ -26,33 +25,25 @@ def _parse_number_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"cannot parse number list {text!r}") from None
 
 
+# AuditConfig's field defaults are the CLI's defaults: it states none of its own
+_DEFAULTS = {f.name: f.default for f in fields(AuditConfig)}
+
+# the settings every subcommand shares: flag, AuditConfig field, type, help
+_SHARED_FLAGS = (
+    ("--bins", "n_bins", int,
+     "number of calibration bins (default %(default)s; echoed in outputs)"),
+    ("--epsilon", "clip_epsilon", float, "score clipping epsilon for cross-entropy and LLRs"),
+    ("--threshold", "threshold", float, "decision threshold for balanced accuracy"),
+    ("--seed", "seed", int,
+     "master seed; the default %(default)s makes reruns byte-identical"),
+    ("--quantile-rule", "quantile_rule", str,
+     "order-statistic interpolation for boxplot quartiles (numpy method name)"),
+)
+
+
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--bins",
-        type=int,
-        default=DEFAULT_N_BINS,
-        help=f"number of calibration bins (default {DEFAULT_N_BINS}; echoed in outputs)",
-    )
-    parser.add_argument(
-        "--epsilon",
-        type=float,
-        default=DEFAULT_CLIP_EPSILON,
-        help="score clipping epsilon for cross-entropy and LLRs",
-    )
-    parser.add_argument(
-        "--threshold", type=float, default=0.5, help="decision threshold for balanced accuracy"
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help=f"master seed; the default {DEFAULT_SEED} makes reruns byte-identical",
-    )
-    parser.add_argument(
-        "--quantile-rule",
-        default="linear",
-        help="order-statistic interpolation for boxplot quartiles (numpy method name)",
-    )
+    for flag, field, kind, text in _SHARED_FLAGS:
+        parser.add_argument(flag, dest=field, type=kind, default=_DEFAULTS[field], help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--ratios",
         type=_parse_number_list,
-        default=DEFAULT_RATIOS,
+        default=_DEFAULTS["ratios"],
         help="comma-separated sampling ratios in (0, 1], ascending (default 0.1..1.0)",
     )
     _add_shared_flags(p_sweep)
@@ -121,10 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_syn.add_argument("--runs", type=int, default=100, help="random splits per scenario")
     p_syn.add_argument(
-        "--n", type=int, default=100_000, help="synthetic population size"
+        "--n", type=int, default=_DEFAULTS["population_size"], help="synthetic population size"
     )
     p_syn.add_argument(
-        "--ratios", type=_parse_number_list, default=DEFAULT_RATIOS, help="sampling ratios"
+        "--ratios", type=_parse_number_list, default=_DEFAULTS["ratios"], help="sampling ratios"
     )
     p_syn.add_argument(
         "--output", required=True, help="output directory (per-scenario CSVs + summary.json)"
@@ -135,35 +126,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_echo(cfg: AuditConfig) -> dict:
-    """The estimator settings a run used, as echoed into its JSON output."""
-    return {
-        "n_bins": cfg.n_bins,
-        "clip_epsilon": cfg.clip_epsilon,
-        "threshold": cfg.threshold,
-        "seed": cfg.seed,
-        "quantile_rule": cfg.quantile_rule,
-    }
-
-
-def _config(args: argparse.Namespace, **fields) -> AuditConfig:
-    return AuditConfig(
-        n_bins=args.bins,
-        clip_epsilon=args.epsilon,
-        threshold=args.threshold,
-        seed=args.seed,
-        quantile_rule=args.quantile_rule,
-        **fields,
-    )
+def _shared(source: argparse.Namespace | AuditConfig) -> dict:
+    """The shared settings, by field name, of parsed arguments or of a config:
+    the keyword arguments of the one and the ``config`` echo of the other."""
+    return {field: getattr(source, field) for _, field, _, _ in _SHARED_FLAGS}
 
 
 def cmd_metrics(args: argparse.Namespace) -> None:
-    cfg = _config(args)
+    cfg = AuditConfig(**_shared(args))
     scoreset = load_scoreset(args.input)
     payload = {
         "command": "metrics",
         "input": str(args.input),
-        "config": _config_echo(cfg),
+        "config": _shared(cfg),
         **harness.evaluate_scoreset(scoreset, cfg, args.by_group),
     }
     _write_json(payload, args.output)
@@ -171,44 +146,33 @@ def cmd_metrics(args: argparse.Namespace) -> None:
 
 def _load_manifest(path: str) -> list[AuditRun]:
     base = Path(path).parent
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ScoreSetFormatError(f"{path}: empty manifest")
-        required = {"run_index", "validation_csv_path", "test_csv_path"}
-        missing = required - set(reader.fieldnames)
-        if missing:
+    runs = []
+    seen: set[int] = set()
+    columns = ("run_index", "validation_csv_path", "test_csv_path")
+    for line, row in _csv_records(path, columns, where=f"{path}: "):
+        try:
+            run_index = int((row.get("run_index") or "").strip())
+        except ValueError:
             raise ScoreSetFormatError(
-                f"{path}: manifest missing column(s): " + ", ".join(sorted(missing))
-            )
-        runs = []
-        seen: set[int] = set()
-        for line, row in enumerate(reader, start=2):
-            try:
-                run_index = int((row.get("run_index") or "").strip())
-            except ValueError:
-                raise ScoreSetFormatError(
-                    f"{path} line {line}: run_index must be an integer"
-                ) from None
-            if run_index in seen:
-                raise ScoreSetFormatError(
-                    f"{path} line {line}: duplicate run_index {run_index}"
-                )
-            seen.add(run_index)
-            sets = []
-            for column in ("validation_csv_path", "test_csv_path"):
-                name = (row[column] or "").strip()
-                if not name:
-                    raise ScoreSetFormatError(f"{path} line {line}: {column} is empty")
-                sets.append(load_scoreset(str(base / name)))
-            runs.append(AuditRun(run_index, *sets))
+                f"{path} line {line}: run_index must be an integer"
+            ) from None
+        if run_index in seen:
+            raise ScoreSetFormatError(f"{path} line {line}: duplicate run_index {run_index}")
+        seen.add(run_index)
+        sets = []
+        for column in columns[1:]:
+            name = (row[column] or "").strip()
+            if not name:
+                raise ScoreSetFormatError(f"{path} line {line}: {column} is empty")
+            sets.append(load_scoreset(str(base / name)))
+        runs.append(AuditRun(run_index, *sets))
     if not runs:
         raise ScoreSetFormatError(f"{path}: manifest has no runs")
     return runs
 
 
 def cmd_audit(args: argparse.Namespace) -> None:
-    cfg = _config(args)
+    cfg = AuditConfig(**_shared(args))
     runs = _load_manifest(args.manifest)
     if args.size_matched:
         report = harness.run_size_matched_audit(runs, cfg)
@@ -219,11 +183,17 @@ def cmd_audit(args: argparse.Namespace) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
-    cfg = _config(args, metrics=SWEEP_METRICS, ratios=args.ratios)
+    summary_path = Path(args.output).with_suffix(".json")
+    if summary_path == Path(args.output):
+        raise UsageError(
+            f"--output {args.output} is where the summary JSON goes; "
+            "give the long-form CSV another suffix"
+        )
+    cfg = AuditConfig(**_shared(args), metrics=SWEEP_METRICS, ratios=args.ratios)
     harness._sweep_ratios(cfg)  # refuse one ratio before the manifest is read
     result = harness.run_sampling_sweep(_load_manifest(args.manifest), cfg)
     harness.write_sweep_csv(result, args.output)
-    _write_json(result.to_dict(), Path(args.output).with_suffix(".json"))
+    _write_json(result.to_dict(), summary_path)
 
 
 def cmd_synthetic(args: argparse.Namespace) -> None:
@@ -237,15 +207,15 @@ def cmd_synthetic(args: argparse.Namespace) -> None:
         raise UsageError("--runs must be >= 1")
     if args.n < 2:
         raise UsageError("--n must be >= 2")
-    cfg = _config(
-        args, metrics=SWEEP_METRICS, ratios=args.ratios, population_size=args.n
+    cfg = AuditConfig(
+        **_shared(args), metrics=SWEEP_METRICS, ratios=args.ratios, population_size=args.n
     )
     results = harness.run_synthetic_experiment(scenarios, args.runs, cfg)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
         "command": "synthetic",
-        "config": {**_config_echo(cfg), "runs": args.runs, "n": cfg.population_size,
+        "config": {**_shared(cfg), "runs": args.runs, "n": cfg.population_size,
                    "ratios": list(cfg.ratios)},
         "scenarios": {},
     }

@@ -138,14 +138,34 @@ class ScoreSet:
 
 
 @contextmanager
-def _csv_stream(target: str | IO[str], mode: str) -> Iterator[IO[str]]:
+def _csv_stream(target: str | Path | IO[str], mode: str) -> Iterator[IO[str]]:
     """``target`` itself when it is already a text stream, else the file it names,
-    opened as the csv module expects and closed on exit."""
+    opened as the csv module expects and closed on exit. A file read may start
+    with a UTF-8 byte-order mark, which is dropped; files are written without one."""
     if hasattr(target, "read" if mode == "r" else "write"):
         yield target
         return
-    with open(target, mode, newline="", encoding="utf-8") as fh:
+    encoding = "utf-8-sig" if mode == "r" else "utf-8"
+    with open(target, mode, newline="", encoding=encoding) as fh:
         yield fh
+
+
+def _csv_records(
+    source: str | Path | IO[str], required: Iterable[str], where: str = ""
+) -> Iterator[tuple[int, dict]]:
+    """``(line, row)`` for each data row of the CSV at ``source``, numbered from
+    2 (the header is line 1), after checking that the header is present and
+    holds every ``required`` column. Header errors start with ``where``."""
+    with _csv_stream(source, "r") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ScoreSetFormatError(f"{where}empty input: missing header row")
+        missing = set(required) - set(reader.fieldnames)
+        if missing:
+            raise ScoreSetFormatError(
+                f"{where}missing required column(s): " + ", ".join(sorted(missing))
+            )
+        yield from enumerate(reader, start=2)
 
 
 def _write_csv(
@@ -168,7 +188,7 @@ def _write_json(payload: dict, path: str | Path) -> None:
         fh.write(text + "\n")
 
 
-def load_scoreset(source: str | IO[str]) -> ScoreSet:
+def load_scoreset(source: str | Path | IO[str]) -> ScoreSet:
     """Parse a score CSV into a :class:`ScoreSet`.
 
     The file must carry a header row with at least ``score`` and ``label``
@@ -181,24 +201,11 @@ def load_scoreset(source: str | IO[str]) -> ScoreSet:
         On a missing header/column, a score outside [0, 1], or a label other
         than 0/1; messages name the offending line (header is line 1).
     """
-    with _csv_stream(source, "r") as fh:
-        return _parse_scores(fh)
-
-
-def _parse_scores(fh: IO[str]) -> ScoreSet:
-    reader = csv.DictReader(fh)
-    if reader.fieldnames is None:
-        raise ScoreSetFormatError("empty input: missing header row")
-    missing = {"score", "label"} - set(reader.fieldnames)
-    if missing:
-        raise ScoreSetFormatError(
-            "missing required column(s): " + ", ".join(sorted(missing))
-        )
     scores: list[float] = []
     labels: list[int] = []
     sample_ids: list[str] = []
     groups: list[str] = []
-    for line, row in enumerate(reader, start=2):
+    for line, row in _csv_records(source, ("score", "label")):
         raw_score = (row.get("score") or "").strip()
         try:
             score = float(raw_score)

@@ -38,6 +38,7 @@ into rows changes the pairwise blocks, so either could change the last digit.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import IO, Callable, Iterable, Sequence
@@ -101,6 +102,14 @@ def _integer(name: str, value, low: int) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a ``float``. A ``bool`` or a non-real value is refused; a
+    numpy float becomes a ``float``, which the JSON outputs can encode."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class AuditConfig:
     """Knobs shared by all experiment families; every estimator convention is explicit."""
@@ -140,6 +149,8 @@ class AuditConfig:
             ("seed", 0), ("n_bins", 1), ("max_subsample_retries", 0), ("population_size", 2)
         ):
             object.__setattr__(self, name, _integer(name, getattr(self, name), low))
+        for name in ("threshold", "clip_epsilon", "validation_fraction", "test_fraction"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must be a finite number in [0, 1]")
         try:
@@ -418,18 +429,18 @@ _METRICS = {
 
 def _metric_values(
     names: Sequence[str], records: _Records, idx: np.ndarray
-) -> tuple[dict[str, float], list[str]]:
+) -> tuple[dict[str, float], dict[str, str]]:
     """Compute each metric independently on the records at sorted ``idx``;
-    undefined ones come back as NaN with a message."""
+    undefined ones come back as NaN, with the reason under their name."""
     cell = _Cell(records, idx)
     values: dict[str, float] = {}
-    errors: list[str] = []
+    errors: dict[str, str] = {}
     for name in names:
         try:
             values[name] = float(_METRICS[name](cell))
         except ValueError as exc:
             values[name] = math.nan
-            errors.append(f"{name}: {exc}")
+            errors[name] = str(exc)
     return values, errors
 
 
@@ -441,7 +452,7 @@ def _metric_block(records: _Records, idx: np.ndarray) -> dict:
         "n": int(idx.size),
         "prevalence": float(records.labels[idx].mean()),
         "metrics": {m: _clean(v) for m, v in values.items()},
-        "errors": dict(e.split(": ", 1) for e in errors),
+        "errors": errors,
     }
 
 
@@ -555,7 +566,7 @@ def _evaluate(
                     notes.append(f"run {i}: {label(s)} absent from test set")
             else:
                 cell, errors = _metric_values(cfg.metrics, records, idx)
-                notes.extend(f"run {i} {label(s)} {e}" for e in errors)
+                notes.extend(f"run {i} {label(s)} {m}: {why}" for m, why in errors.items())
             for m in cfg.metrics:
                 values[m][s].append(cell[m])
     if not run_ids:

@@ -2,16 +2,22 @@
 
 Everything here is deliberately slow and literal: pairwise loops, explicit
 threshold sweeps, boundary scans, full sign-pattern enumeration, adaptive
-quadrature. None of it shares code with the package under test.
+quadrature. None of it shares code with the package under test, except that
+the score-CSV parser builds the package's ``ScoreSet`` and raises its
+``ScoreSetFormatError``.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+from typing import IO
 
 import numpy as np
 from scipy import integrate, special
+
+from calaudit.dataset import UNKNOWN_GROUP, ScoreSet, ScoreSetFormatError
 
 
 def roc_auc_pairwise(scores, labels) -> float:
@@ -278,3 +284,45 @@ def fit_platt_logaddexp(llrs, labels, tolerance=1e-8, max_iterations=100):
 
     converged = bool(gradient_norm <= tolerance and not separable)
     return float(a), float(b), iterations, float(gradient_norm), converged, took_nan
+
+
+# the score-CSV parser as it was before it shared its header checks with the
+# manifest reader, kept verbatim as the reference for load_scoreset
+def _parse_scores(fh: IO[str]) -> ScoreSet:
+    reader = csv.DictReader(fh)
+    if reader.fieldnames is None:
+        raise ScoreSetFormatError("empty input: missing header row")
+    missing = {"score", "label"} - set(reader.fieldnames)
+    if missing:
+        raise ScoreSetFormatError(
+            "missing required column(s): " + ", ".join(sorted(missing))
+        )
+    scores: list[float] = []
+    labels: list[int] = []
+    sample_ids: list[str] = []
+    groups: list[str] = []
+    for line, row in enumerate(reader, start=2):
+        raw_score = (row.get("score") or "").strip()
+        try:
+            score = float(raw_score)
+        except ValueError:
+            raise ScoreSetFormatError(
+                f"line {line}: score {raw_score!r} is not a number"
+            ) from None
+        if not 0.0 <= score <= 1.0:
+            raise ScoreSetFormatError(f"line {line}: score {score} outside [0, 1]")
+        raw_label = (row.get("label") or "").strip()
+        if raw_label not in ("0", "1"):
+            raise ScoreSetFormatError(f"line {line}: label {raw_label!r} must be 0 or 1")
+        scores.append(score)
+        labels.append(int(raw_label))
+        sample_ids.append((row.get("sample_id") or "").strip() or str(len(sample_ids)))
+        groups.append((row.get("group") or "").strip() or UNKNOWN_GROUP)
+    if not scores:
+        raise ScoreSetFormatError("no data rows")
+    return ScoreSet(
+        scores=np.array(scores),
+        labels=np.array(labels),
+        sample_ids=np.array(sample_ids),
+        groups=np.array(groups),
+    )

@@ -99,6 +99,47 @@ class TestMetricsCommand:
         assert "error" in capsys.readouterr().err
 
 
+# each shared flag, a value other than its default, and the config key it sets
+_SHARED = [
+    ("--bins", "10", "n_bins", 10),
+    ("--epsilon", "1e-05", "clip_epsilon", 1e-05),
+    ("--threshold", "0.4", "threshold", 0.4),
+    ("--seed", "7", "seed", 7),
+    ("--quantile-rule", "midpoint", "quantile_rule", "midpoint"),
+]
+_DEFAULT_ECHO = {
+    "n_bins": 15, "clip_epsilon": 1e-07, "threshold": 0.5, "seed": 101, "quantile_rule": "linear"
+}
+
+
+def _echo_of(tmp_path, command, flags):
+    if command == "metrics":
+        out = tmp_path / "metrics.json"
+        argv = ["metrics", "--input", _perfect_file(tmp_path / "s.csv"), "--output", str(out)]
+    else:
+        out = tmp_path / "synth" / "summary.json"
+        argv = ["synthetic", "--alpha", "1", "--beta", "1", "--runs", "2", "--n", "400",
+                "--ratios", "0.5,1", "--output", str(out.parent)]
+    assert main(argv + flags) == 0
+    return json.loads(out.read_text())["config"]
+
+
+@pytest.mark.parametrize("command", ["metrics", "synthetic"])
+@pytest.mark.parametrize("changed", [None] + [flag for flag, *_ in _SHARED])
+def test_config_echo_holds_every_shared_setting(tmp_path, command, changed):
+    flags, expected = [], dict(_DEFAULT_ECHO)
+    for flag, text, key, value in _SHARED:
+        if flag == changed:
+            flags += [flag, text]
+            expected[key] = value
+    echo = _echo_of(tmp_path, command, flags)
+    assert {key: echo[key] for key in expected} == expected
+    if command == "synthetic":
+        assert set(echo) == set(expected) | {"runs", "n", "ratios"}
+    else:
+        assert set(echo) == set(expected)
+
+
 class TestAuditCommand:
     def test_25_run_manifest_yields_paired_vectors(self, tmp_path):
         manifest = _manifest(tmp_path, n_runs=25, n_val=300, n_test=250)
@@ -198,6 +239,40 @@ class TestAuditCommand:
         assert "test_csv_path" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty input: missing header row"),
+            ("run_index\n0\n", "missing required column(s): test_csv_path, validation_csv_path"),
+        ],
+    )
+    def test_manifest_header_errors_use_the_score_reader_wording(
+        self, tmp_path, capsys, text, message
+    ):
+        manifest = tmp_path / "runs.csv"
+        manifest.write_text(text)
+        out = tmp_path / "report.json"
+        assert main(["audit", "--manifest", str(manifest), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+
+    def test_byte_order_marks_are_dropped(self, tmp_path):
+        manifest = _manifest(tmp_path, n_runs=3, seed=3)
+        # the same files behind a BOM; in test1.csv it comes before score
+        bom = tmp_path / "bom"
+        bom.mkdir()
+        for path in tmp_path.glob("*.csv"):
+            lines = path.read_text().splitlines()
+            if path.name == "test1.csv":
+                lines = [",".join(row[i] for i in (1, 2, 0, 3)) for row in csv.reader(lines)]
+            assert lines[0].startswith(("run_index", "sample_id", "score"))
+            (bom / path.name).write_bytes(b"\xef\xbb\xbf" + "\n".join(lines).encode() + b"\n")
+        reports = []
+        for where in (manifest, str(bom / "runs.csv")):
+            out = tmp_path / f"report{len(reports)}.json"
+            assert main(["audit", "--manifest", where, "--output", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
         "row, column",
         [("0, ,test.csv", "validation_csv_path"), ("0,val.csv,", "test_csv_path")],
     )
@@ -231,6 +306,17 @@ class TestSweepCommand:
         }
         summary = json.loads((tmp_path / "sweep.json").read_text())
         assert "tests" in summary and "summaries" in summary
+
+
+    def test_output_that_is_its_own_summary_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        code = main(
+            ["sweep", "--manifest", str(tmp_path / "missing.csv"), "--output", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--output {out} is where the summary JSON goes" in err
+        assert "missing.csv" not in err and not out.exists()
 
 
 class TestSyntheticCommand:

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -16,6 +17,7 @@ from calaudit import (
 )
 from calaudit.dataset import UNKNOWN_GROUP
 
+import oracles
 from helpers import calibrated_scoreset, make_scoreset, match_indices
 
 
@@ -197,6 +199,21 @@ class TestLoadScoreset:
             np.testing.assert_array_equal(getattr(s, name), getattr(expected, name))
         np.testing.assert_array_equal(s.sample_ids, ["x1", "x2"])
 
+    @pytest.mark.parametrize(
+        "header", ["sample_id,score,label,group", "score,label,sample_id,group"]
+    )
+    def test_byte_order_mark_is_dropped(self, tmp_path, header):
+        rows = {"sample_id": ["a", "b"], "score": ["0.2", "0.9"], "label": ["0", "1"],
+                "group": ["x", "y"]}
+        columns = header.split(",")
+        text = "\n".join([header] + [",".join(rows[c][i] for c in columns) for i in (0, 1)])
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode() + b"\n")
+        s = load_scoreset(str(path))
+        assert s.sample_ids.tolist() == ["a", "b"]
+        assert s.scores.tolist() == [0.2, 0.9]
+        assert s.groups.tolist() == ["x", "y"]
+
     def test_round_trip(self):
         s = make_scoreset([0.25, 0.75], [0, 1], groups=["a", "b"])
         buffer = io.StringIO()
@@ -272,6 +289,80 @@ def test_score_csv_round_trip_property(s):
     np.testing.assert_array_equal(again.labels, s.labels)
     np.testing.assert_array_equal(again.groups, s.groups)
     np.testing.assert_array_equal(again.sample_ids, s.sample_ids)
+
+
+# score-CSV texts for the parser oracle: cells that parse, pad, quote or (now
+# and then) fail, rows cut short or run long, blank lines and either line end
+def _mostly(good, bad):
+    """``good``, or ``bad`` one draw in 25."""
+    return st.integers(0, 24).flatmap(lambda k: bad if k == 0 else good)
+
+
+_PAD = st.sampled_from(("", "", " ", "  ", "\t"))
+_SCORE_TEXTS = _mostly(
+    st.one_of(
+        st.floats(0.0, 1.0).map(repr),
+        st.sampled_from(_EDGE_SCORES).map(str),
+        st.sampled_from(("0", "1", "-0", "1e-7", ".5", "1E-3")),
+    ),
+    st.sampled_from(("1.0000001", "-1e-9", "nan", "inf", "1e400", "", "x", "0,5", "0.5.1")),
+)
+_LABEL_TEXTS = _mostly(
+    st.sampled_from(("0", "1")), st.sampled_from(("2", "-1", "1.0", "01", "", "x"))
+)
+_TAG_TEXTS = st.text(st.sampled_from('ab ,"\t\u00a0'), max_size=4)
+_CELLS = {
+    "sample_id": _TAG_TEXTS,
+    "score": _SCORE_TEXTS,
+    "label": _LABEL_TEXTS,
+    "group": _TAG_TEXTS,
+    "note": _TAG_TEXTS,
+}
+
+
+@st.composite
+def _score_csv_texts(draw) -> str:
+    if draw(st.integers(0, 20)) == 0:
+        return ""
+    required = [c for c in ("score", "label") if draw(st.integers(0, 15))]
+    optional = draw(st.lists(st.sampled_from(("sample_id", "group", "note")), unique=True))
+    header = draw(st.permutations(required + optional))
+    ending = draw(st.sampled_from(("\n", "\r\n")))
+    buffer = io.StringIO()
+    writer = csv.writer(
+        buffer,
+        quoting=draw(st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL))),
+        lineterminator=ending,
+    )
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 6)) == 0:
+            buffer.write(ending)  # a blank line
+            continue
+        row = [draw(_PAD) + draw(_CELLS[c]) + draw(_PAD) for c in header]
+        # now and then a short (< 0) or long (> 0) row
+        cut = draw(st.sampled_from((0,) * 12 + (-2, -1, 1, 2)))
+        row = row[: len(row) + cut] if cut < 0 else row + ["extra"] * cut
+        writer.writerow(row)
+    return buffer.getvalue()
+
+
+def _parsed(parse, text: str):
+    """Each column's dtype and bytes, or the exception's type and message."""
+    try:
+        s = parse(io.StringIO(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [
+        (column.dtype.str, column.tobytes())
+        for column in (s.scores, s.labels, s.sample_ids, s.groups)
+    ]
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(_score_csv_texts())
+def test_load_scoreset_matches_parser_oracle(text):
+    assert _parsed(load_scoreset, text) == _parsed(oracles._parse_scores, text)
 
 
 class TestSubsample:

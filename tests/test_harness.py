@@ -150,6 +150,45 @@ class TestAuditConfig:
         with pytest.raises(ValueError, match="population_size"):
             AuditConfig(population_size=size)
 
+    def test_numpy_floats_stored_as_python_floats(self, tmp_path):
+        values = {
+            "threshold": np.float32(0.3),
+            "clip_epsilon": np.float32(1e-5),
+            "validation_fraction": np.float32(0.25),
+            "test_fraction": np.float32(0.5),
+        }
+        cfg = AuditConfig(metrics=("ece", "balanced_accuracy"), **values)
+        for name, value in values.items():
+            assert type(getattr(cfg, name)) is float
+            assert getattr(cfg, name) == float(value)
+        runs = _two_group_runs(102, n_runs=3, n_validation=300, group_sizes=(200, 100))
+        out = tmp_path / "report.json"
+        write_audit_json(run_group_audit(runs, cfg), str(out))
+        assert json.loads(out.read_text())["provenance"]["config"]["threshold"] == cfg.threshold
+
+    @pytest.mark.parametrize(
+        "name", ["threshold", "clip_epsilon", "validation_fraction", "test_fraction"]
+    )
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "0.3", None, 0.3j])
+    def test_real_settings_refuse_bools_and_non_reals(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a real number, got"):
+            AuditConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"threshold": np.float32(1.5)}, r"threshold must be a finite number in \[0, 1\]"),
+            ({"clip_epsilon": np.float32(0.5)}, r"clip_epsilon must lie in \(0, 0.5\)"),
+            (
+                {"validation_fraction": np.float32(0.9), "test_fraction": np.float32(0.2)},
+                "validation/test fractions must be positive and sum to <= 1",
+            ),
+        ],
+    )
+    def test_numpy_floats_checked_with_the_same_messages(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            AuditConfig(**fields)
+
 
 class TestAuditRun:
     @pytest.mark.parametrize("run_index", [1.5, 1.0, True, -1, "1"])
