@@ -150,21 +150,24 @@ def _load_manifest(path: str) -> list[AuditRun]:
     seen: set[int] = set()
     columns = ("run_index", "validation_csv_path", "test_csv_path")
     for line, row in _csv_records(path, columns, where=f"{path}: "):
+        where = f"{path} line {line}: "
         try:
             run_index = int((row.get("run_index") or "").strip())
         except ValueError:
-            raise ScoreSetFormatError(
-                f"{path} line {line}: run_index must be an integer"
-            ) from None
+            raise ScoreSetFormatError(f"{where}run_index must be an integer") from None
         if run_index in seen:
-            raise ScoreSetFormatError(f"{path} line {line}: duplicate run_index {run_index}")
+            raise ScoreSetFormatError(f"{where}duplicate run_index {run_index}")
         seen.add(run_index)
         sets = []
         for column in columns[1:]:
             name = (row[column] or "").strip()
             if not name:
-                raise ScoreSetFormatError(f"{path} line {line}: {column} is empty")
-            sets.append(load_scoreset(str(base / name)))
+                raise ScoreSetFormatError(f"{where}{column} is empty")
+            try:
+                sets.append(load_scoreset(str(base / name)))
+            except ScoreSetFormatError as exc:
+                # the file's own error, after the manifest row and column that name it
+                raise ScoreSetFormatError(f"{where}{column} {name!r}: {exc}") from None
         runs.append(AuditRun(run_index, *sets))
     if not runs:
         raise ScoreSetFormatError(f"{path}: manifest has no runs")

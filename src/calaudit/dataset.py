@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -140,13 +141,12 @@ class ScoreSet:
 @contextmanager
 def _csv_stream(target: str | Path | IO[str], mode: str) -> Iterator[IO[str]]:
     """``target`` itself when it is already a text stream, else the file it names,
-    opened as the csv module expects and closed on exit. A file read may start
-    with a UTF-8 byte-order mark, which is dropped; files are written without one."""
+    opened as the csv module expects (UTF-8, no newline translation) and closed
+    on exit."""
     if hasattr(target, "read" if mode == "r" else "write"):
         yield target
         return
-    encoding = "utf-8-sig" if mode == "r" else "utf-8"
-    with open(target, mode, newline="", encoding=encoding) as fh:
+    with open(target, mode, newline="", encoding="utf-8") as fh:
         yield fh
 
 
@@ -155,9 +155,14 @@ def _csv_records(
 ) -> Iterator[tuple[int, dict]]:
     """``(line, row)`` for each data row of the CSV at ``source``, numbered from
     2 (the header is line 1), after checking that the header is present and
-    holds every ``required`` column. Header errors start with ``where``."""
+    holds every ``required`` column. Header errors start with ``where``.
+
+    A UTF-8 byte-order mark, read as U+FEFF, is dropped from the start of a
+    file and of a stream alike; files are written without one."""
     with _csv_stream(source, "r") as fh:
-        reader = csv.DictReader(fh)
+        lines = iter(fh)
+        first = next(lines, "").removeprefix("\ufeff")
+        reader = csv.DictReader(itertools.chain([first] if first else [], lines))
         if reader.fieldnames is None:
             raise ScoreSetFormatError(f"{where}empty input: missing header row")
         missing = set(required) - set(reader.fieldnames)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
@@ -62,7 +62,6 @@ from .platt import apply_platt, decompose_psr, fit_platt, to_llr  # noqa: F401
 from .stats import (
     BoxplotSummary,
     InsufficientPairsError,
-    PairedTestResult,
     _stable_order,
     summarize,
     wilcoxon_signed_rank,
@@ -199,22 +198,7 @@ class AuditReport:
     provenance: dict
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "runs": list(self.runs),
-            "series": {
-                m: {s: [_clean(v) for v in vals] for s, vals in per.items()}
-                for m, per in self.series.items()
-            },
-            "summaries": {
-                m: {s: _record(b) for s, b in per.items()}
-                for m, per in self.summaries.items()
-            },
-            "tests": {
-                m: {c: _record(t) for c, t in per.items()} for m, per in self.tests.items()
-            },
-            "provenance": self.provenance,
-        }
+        return _jsonable(self)
 
 
 @dataclass(frozen=True)
@@ -229,30 +213,31 @@ class SweepResult:
     provenance: dict
 
     def to_dict(self) -> dict:
+        """The result's JSON data, without the long-form ``rows``."""
+        return _jsonable({k: v for k, v in vars(self).items() if k != "rows"})
+
+
+def _jsonable(value):
+    """The JSON data of a result, by one rule: a record (dataclass) becomes a
+    dict with ``asdict``, a tuple a list, a missing (NaN) value ``None``, and a
+    float key, such as a sweep's ratio, ``f"{r:g}"``; dicts and lists are
+    converted item by item."""
+    if is_dataclass(value):
+        value = asdict(value)
+    if isinstance(value, dict):
         return {
-            "ratios": list(self.ratios),
-            "runs": list(self.runs),
-            "summaries": {
-                m: {f"{r:g}": _record(b) for r, b in per.items()}
-                for m, per in self.summaries.items()
-            },
-            "tests": {m: _record(t) for m, t in self.tests.items()},
-            "provenance": self.provenance,
+            f"{k:g}" if isinstance(k, float) else k: _jsonable(v) for k, v in value.items()
         }
-
-
-def _clean(value: float) -> float | None:
-    """A JSON value: ``None`` for a missing (NaN) value."""
-    return None if math.isnan(value) else float(value)
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
 
 
 def _csv_value(value: float) -> str:
     """A CSV cell: blank for a missing (NaN) value."""
     return "" if math.isnan(value) else str(value)
-
-
-def _record(result: BoxplotSummary | PairedTestResult | None) -> dict | None:
-    return None if result is None else asdict(result)
 
 
 class _lazy:
@@ -451,7 +436,7 @@ def _metric_block(records: _Records, idx: np.ndarray) -> dict:
     return {
         "n": int(idx.size),
         "prevalence": float(records.labels[idx].mean()),
-        "metrics": {m: _clean(v) for m, v in values.items()},
+        "metrics": values,
         "errors": errors,
     }
 
@@ -474,7 +459,7 @@ def evaluate_scoreset(
             tag: _metric_block(records, np.flatnonzero(scoreset.groups == tag))
             for tag in sorted(scoreset.group_counts())
         }
-    return blocks
+    return _jsonable(blocks)
 
 
 def _fit_run_calibrator(
@@ -768,17 +753,17 @@ def run_synthetic_experiment(
         raise ValueError("scenario names must be unique")
     results: dict[str, SweepResult] = {}
     for si, scenario in enumerate(scenarios):
-        population = generate_population(
-            cfg.population_size, [cfg.seed, _STREAM_POPULATION, si]
+        scored = apply_miscalibration(
+            generate_population(cfg.population_size, [cfg.seed, _STREAM_POPULATION, si]),
+            scenario,
         )
-        scored = apply_miscalibration(population, scenario)
-        n_val = int(round(cfg.validation_fraction * population.n))
-        n_test = int(round(cfg.test_fraction * population.n))
+        n_val = int(round(cfg.validation_fraction * scored.n))
+        n_test = int(round(cfg.test_fraction * scored.n))
 
         def _split_runs():
             for r in range(n_runs):
                 rng = np.random.default_rng([cfg.seed, _STREAM_SPLIT, si, r])
-                perm = rng.permutation(population.n)
+                perm = rng.permutation(scored.n)
                 yield AuditRun(
                     run_index=r,
                     validation=scored.take(np.sort(perm[:n_val])),

@@ -10,8 +10,9 @@ import numpy as np
 
 from .calibration import DEFAULT_CLIP_EPSILON, brier, cross_entropy
 
-DEFAULT_TOLERANCE = 1e-8
-DEFAULT_MAX_ITERATIONS = 100
+# the fit's stopping rule: gradient max-norm tolerance and iteration cap
+_TOLERANCE = 1e-8
+_MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -146,15 +147,13 @@ def _separable(x: np.ndarray, y: np.ndarray) -> bool:
 def fit_platt(
     llrs: Sequence[float] | np.ndarray,
     labels: Sequence[int] | np.ndarray,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> PlattParams:
     """Fit sigmoid(a * llr + b) by unweighted maximum likelihood.
 
     Newton-Raphson from the identity start (a=1, b=0) with step halving on a
-    likelihood decrease; converged once the gradient max-norm drops to
-    ``tolerance``. Perfectly separated inputs have no finite optimum: the
-    iteration then runs to ``max_iterations`` and the result is flagged
+    likelihood decrease; converged once the gradient max-norm drops to 1e-8.
+    Perfectly separated inputs have no finite optimum: the iteration then
+    runs its full 100 iterations and the result is flagged
     ``converged=False`` so the caller can decide. A step that no halving makes
     finite (an infinite slope, or ``a * llr`` overflowing) ends the fit at its
     last finite point, also flagged ``converged=False``.
@@ -182,13 +181,13 @@ def fit_platt(
     ll, z, e = _log_likelihood(x, y, a, b)
     iterations = 0
     gradient_norm = np.inf
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         p = _sigmoid(z, e)
         residual = y - p
         g_a = float(residual @ x)
         g_b = float(residual.sum())
         gradient_norm = max(abs(g_a), abs(g_b))
-        if gradient_norm <= tolerance and not separable:
+        if gradient_norm <= _TOLERANCE and not separable:
             break
         w = p * (1.0 - p)
         h_aa = float(w @ xx)
@@ -226,7 +225,7 @@ def fit_platt(
         residual = y - _sigmoid(z, e)
         gradient_norm = max(abs(float(residual @ x)), abs(float(residual.sum())))
 
-    converged = bool(gradient_norm <= tolerance and not separable)
+    converged = bool(gradient_norm <= _TOLERANCE and not separable)
     return PlattParams(
         a=float(a),
         b=float(b),

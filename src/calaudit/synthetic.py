@@ -32,28 +32,6 @@ class SyntheticScenario:
         return f"alpha{self.alpha:g}_beta{self.beta:g}"
 
 
-@dataclass(frozen=True)
-class SyntheticPopulation:
-    """Samples with uniform true posteriors and labels drawn Bernoulli(posterior)."""
-
-    true_posteriors: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.array(self.true_posteriors, dtype=np.float64, copy=True).reshape(-1)
-        labels = np.array(self.labels, dtype=np.int64, copy=True).reshape(-1)
-        if p.size != labels.size:
-            raise ValueError("posteriors and labels must have equal length")
-        p.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "true_posteriors", p)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def n(self) -> int:
-        return int(self.true_posteriors.size)
-
-
 def _beta_continued_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """Modified Lentz evaluation of the continued fraction behind I_x(a, b)."""
     qab = a + b
@@ -141,35 +119,34 @@ def regularized_incomplete_beta(
     return out.reshape(np.shape(x))
 
 
-def generate_population(n: int, seed: Seed) -> SyntheticPopulation:
-    """Draw posteriors p ~ Uniform(0, 1) and labels ~ Bernoulli(p), i.i.d."""
+def generate_population(n: int, seed: Seed) -> ScoreSet:
+    """Draw posteriors p ~ Uniform(0, 1) and labels ~ Bernoulli(p), i.i.d.
+
+    The set is perfectly calibrated: its scores are the true posteriors.
+    """
     if n < 2:
         raise ValueError("population size must be >= 2")
     rng = np.random.default_rng(seed)
     posteriors = rng.random(n)
     labels = rng.binomial(1, posteriors)
-    return SyntheticPopulation(true_posteriors=posteriors, labels=labels)
+    return ScoreSet(scores=posteriors, labels=labels)
 
 
-def apply_miscalibration(
-    pop: SyntheticPopulation, scenario: SyntheticScenario
-) -> ScoreSet:
-    """Distort the true posteriors into scores via the scenario's beta CDF.
+def apply_miscalibration(pop: ScoreSet, scenario: SyntheticScenario) -> ScoreSet:
+    """Distort a population's true posteriors (its scores) via the scenario's beta CDF.
 
     The transform is strictly increasing, so rankings (and any ranking metric)
     are unchanged; alpha = beta = 1 leaves the scores perfectly calibrated.
     """
-    scores = regularized_incomplete_beta(
-        pop.true_posteriors, scenario.alpha, scenario.beta
-    )
+    scores = regularized_incomplete_beta(pop.scores, scenario.alpha, scenario.beta)
     return ScoreSet(scores=scores, labels=pop.labels)
 
 
 def write_population_csv(
-    pop: SyntheticPopulation, scenario: SyntheticScenario, dest: str | IO[str]
+    pop: ScoreSet, scenario: SyntheticScenario, dest: str | IO[str]
 ) -> None:
-    """Standard score CSV plus a true_posterior column."""
-    rows = zip(_score_rows(apply_miscalibration(pop, scenario)), pop.true_posteriors)
+    """Standard score CSV of the distorted scores plus a true_posterior column."""
+    rows = zip(_score_rows(apply_miscalibration(pop, scenario)), pop.scores)
     _write_csv(
         dest, (*_SCORE_COLUMNS, "true_posterior"), (row + [str(p)] for row, p in rows)
     )

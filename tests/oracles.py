@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from dataclasses import asdict
 from typing import IO
 
 import numpy as np
@@ -326,3 +327,47 @@ def _parse_scores(fh: IO[str]) -> ScoreSet:
         sample_ids=np.array(sample_ids),
         groups=np.array(groups),
     )
+
+
+# the report serializers as they were before one conversion rule replaced
+# them, kept verbatim (as functions of the report) as the reference for
+# AuditReport.to_dict and SweepResult.to_dict
+def _clean(value: float) -> float | None:
+    """A JSON value: ``None`` for a missing (NaN) value."""
+    return None if math.isnan(value) else float(value)
+
+
+def _record(result) -> dict | None:
+    return None if result is None else asdict(result)
+
+
+def audit_report_to_dict(self) -> dict:
+    return {
+        "kind": self.kind,
+        "runs": list(self.runs),
+        "series": {
+            m: {s: [_clean(v) for v in vals] for s, vals in per.items()}
+            for m, per in self.series.items()
+        },
+        "summaries": {
+            m: {s: _record(b) for s, b in per.items()}
+            for m, per in self.summaries.items()
+        },
+        "tests": {
+            m: {c: _record(t) for c, t in per.items()} for m, per in self.tests.items()
+        },
+        "provenance": self.provenance,
+    }
+
+
+def sweep_result_to_dict(self) -> dict:
+    return {
+        "ratios": list(self.ratios),
+        "runs": list(self.runs),
+        "summaries": {
+            m: {f"{r:g}": _record(b) for r, b in per.items()}
+            for m, per in self.summaries.items()
+        },
+        "tests": {m: _record(t) for m, t in self.tests.items()},
+        "provenance": self.provenance,
+    }

@@ -285,6 +285,32 @@ class TestAuditCommand:
         assert main(["audit", "--manifest", str(manifest), "--output", str(out)]) == 1
         assert f"{manifest} line 2: {column} is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "column, text, message",
+        [
+            ("validation_csv_path", "score,label\nx,1\n", "line 2: score 'x' is not a number"),
+            ("test_csv_path", "", "empty input: missing header row"),
+        ],
+    )
+    def test_score_file_error_names_its_manifest_row(
+        self, tmp_path, capsys, column, text, message
+    ):
+        _write_csv(tmp_path / "good.csv", calibrated_scoreset(20, seed=1))
+        (tmp_path / "bad.csv").write_text(text)
+        names = {"validation_csv_path": "good.csv", "test_csv_path": "good.csv"}
+        names[column] = "bad.csv"
+        manifest = tmp_path / "runs.csv"
+        manifest.write_text(
+            "run_index,validation_csv_path,test_csv_path\n0,good.csv,good.csv\n"
+            f"1,{names['validation_csv_path']},{names['test_csv_path']}\n"
+        )
+        out = tmp_path / "report.json"
+        assert main(["audit", "--manifest", str(manifest), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {manifest} line 3: {column} 'bad.csv': {message}\n"
+        )
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_outputs_csv_and_summary(self, tmp_path):

@@ -200,19 +200,25 @@ class TestLoadScoreset:
         np.testing.assert_array_equal(s.sample_ids, ["x1", "x2"])
 
     @pytest.mark.parametrize(
-        "header", ["sample_id,score,label,group", "score,label,sample_id,group"]
+        "header",
+        ["sample_id,score,label,group", "score,label,sample_id,group",
+         '"sample_id",score,label,group'],
     )
     def test_byte_order_mark_is_dropped(self, tmp_path, header):
         rows = {"sample_id": ["a", "b"], "score": ["0.2", "0.9"], "label": ["0", "1"],
                 "group": ["x", "y"]}
-        columns = header.split(",")
+        columns = [c.strip('"') for c in header.split(",")]
         text = "\n".join([header] + [",".join(rows[c][i] for c in columns) for i in (0, 1)])
         path = tmp_path / "scores.csv"
         path.write_bytes(b"\xef\xbb\xbf" + text.encode() + b"\n")
-        s = load_scoreset(str(path))
-        assert s.sample_ids.tolist() == ["a", "b"]
-        assert s.scores.tolist() == [0.2, 0.9]
-        assert s.groups.tolist() == ["x", "y"]
+        # the mark is dropped by one rule, whether the reader opens the file or
+        # is handed a text stream that still holds it
+        with open(path, encoding="utf-8", newline="") as fh:
+            for s in (load_scoreset(str(path)), load_scoreset(fh),
+                      load_scoreset(io.StringIO("\ufeff" + text + "\n"))):
+                assert s.sample_ids.tolist() == ["a", "b"]
+                assert s.scores.tolist() == [0.2, 0.9]
+                assert s.groups.tolist() == ["x", "y"]
 
     def test_round_trip(self):
         s = make_scoreset([0.25, 0.75], [0, 1], groups=["a", "b"])

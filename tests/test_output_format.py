@@ -1,14 +1,19 @@
 """Golden text of the report writers: CSV dialect, missing values, JSON layout."""
 
 import io
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calaudit import write_audit_json, write_audit_metric_csvs, write_sweep_csv
 from calaudit.dataset import _write_json
 from calaudit.harness import AuditReport, SweepResult
 from calaudit.stats import BoxplotSummary, PairedTestResult
+
+import oracles
 
 _SUMMARY = BoxplotSummary(
     mean=0.1875, median=0.1875, q1=0.15625, q3=0.21875, iqr=0.0625, n=2
@@ -144,3 +149,85 @@ def test_sweep_summary_dict():
         "tests": {"ece": None},
         "provenance": {"notes": []},
     }
+
+
+_VALUES = st.one_of(st.just(math.nan), st.floats(allow_nan=False, allow_infinity=False))
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SUMMARIES = st.none() | st.builds(
+    BoxplotSummary, _FINITE, _FINITE, _FINITE, _FINITE, _FINITE, st.integers(1, 500)
+)
+_TESTS = st.none() | st.builds(
+    PairedTestResult, _FINITE, st.floats(0.0, 1.0), st.integers(0, 500),
+    st.sampled_from(("exact", "normal")),
+)
+_NAMES = st.sampled_from(("ece", "mce", "ada_ece", "delta_ce", "auc_roc"))
+# what the harness records: the config as asdict gives it (tuples), notes, fits
+_PROVENANCE = st.fixed_dictionaries({
+    "config": st.fixed_dictionaries({
+        "metrics": st.lists(_NAMES, unique=True).map(tuple),
+        "ratios": st.lists(_FINITE, max_size=4).map(tuple),
+        "majority": st.none() | st.text(max_size=5),
+    }),
+    "notes": st.lists(st.text(max_size=20), max_size=3),
+    "match_seeds": st.lists(
+        st.fixed_dictionaries({"run": st.integers(0, 9),
+                               "seed": st.lists(st.integers(0, 9), max_size=3)}),
+        max_size=2,
+    ),
+})
+
+
+@st.composite
+def _audit_reports(draw) -> AuditReport:
+    runs = tuple(draw(st.lists(st.integers(0, 99), unique=True, max_size=5)))
+    series_names = draw(st.lists(st.text(min_size=1, max_size=8), unique=True, max_size=3))
+    metrics = draw(st.lists(_NAMES, unique=True, max_size=3))
+    arms = draw(st.lists(st.text(min_size=1, max_size=8), unique=True, max_size=3))
+    return AuditReport(
+        kind=draw(st.sampled_from(("group", "size_matched"))),
+        runs=runs,
+        series={
+            m: {s: draw(st.lists(_VALUES, min_size=len(runs), max_size=len(runs)))
+                for s in series_names}
+            for m in metrics
+        },
+        summaries={m: {s: draw(_SUMMARIES) for s in series_names} for m in metrics},
+        tests={m: {a: draw(_TESTS) for a in arms} for m in metrics},
+        provenance=draw(_PROVENANCE),
+    )
+
+
+@st.composite
+def _sweep_results(draw) -> SweepResult:
+    ratios = sorted(draw(st.lists(
+        st.sampled_from((1e-05, 0.0001, 0.1, 0.2, 1 / 3, 0.5, 0.123456789, 1.0)),
+        unique_by=lambda r: f"{r:g}", min_size=2,
+    )))
+    runs = tuple(draw(st.lists(st.integers(0, 99), unique=True, max_size=4)))
+    metrics = draw(st.lists(_NAMES, unique=True, max_size=3))
+    return SweepResult(
+        ratios=tuple(ratios),
+        runs=runs,
+        rows=tuple((run, r, m, draw(_VALUES)) for run in runs for r in ratios for m in metrics),
+        summaries={m: {r: draw(_SUMMARIES) for r in ratios} for m in metrics},
+        tests={m: draw(_TESTS) for m in metrics},
+        provenance=draw(_PROVENANCE),
+    )
+
+
+def _json_text(data) -> str:
+    # text, not dicts: the one conversion rule turns provenance tuples into
+    # lists, which the serializers it replaced left to json.dumps
+    return json.dumps(data, sort_keys=True, allow_nan=False)
+
+
+@settings(database=None, deadline=None, max_examples=100)
+@given(_audit_reports())
+def test_audit_report_dict_matches_oracle(report):
+    assert _json_text(report.to_dict()) == _json_text(oracles.audit_report_to_dict(report))
+
+
+@settings(database=None, deadline=None, max_examples=100)
+@given(_sweep_results())
+def test_sweep_result_dict_matches_oracle(result):
+    assert _json_text(result.to_dict()) == _json_text(oracles.sweep_result_to_dict(result))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -90,19 +91,38 @@ class TestGeneratePopulation:
     def test_deterministic(self):
         a = generate_population(1000, seed=2)
         b = generate_population(1000, seed=2)
-        np.testing.assert_array_equal(a.true_posteriors, b.true_posteriors)
+        np.testing.assert_array_equal(a.scores, b.scores)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_minimum_size(self):
         with pytest.raises(ValueError, match=">= 2"):
             generate_population(1, seed=0)
 
+    @pytest.mark.parametrize(
+        "n, seed, scores_sha, labels_sha",
+        [
+            (2, 0, "1ac5475d8a5e1a447bc7d0705d81919c", "4cbbd8ca5215b8d161aec181a74b694f"),
+            (1000, 2, "1e1ebf924e983559aa7ef9db7c9a12dd", "6d0db2840ec843abbeb9b90f6a32d775"),
+            # a population of the synthetic experiment at its default size and seed
+            (100_000, [101, 4, 1], "3494c1dd846badf280a77a80228f35a7",
+             "3f9f3a3b540d2cb97c5619c0f8da4c76"),
+        ],
+    )
+    def test_population_bytes_pinned(self, n, seed, scores_sha, labels_sha):
+        # the posteriors and labels of the earlier population record type: a
+        # calibrated ScoreSet holds the same draws, as float64 scores and int64 labels
+        population = generate_population(n, seed)
+        columns = (population.scores, population.labels)
+        assert [c.dtype for c in columns] == [np.float64, np.int64]
+        digests = [hashlib.sha256(c.tobytes()).hexdigest()[:32] for c in columns]
+        assert digests == [scores_sha, labels_sha]
+
 
 class TestApplyMiscalibration:
     def test_identity_scenario_is_exact(self):
         population = generate_population(5000, seed=3)
         scored = apply_miscalibration(population, SyntheticScenario(1.0, 1.0))
-        np.testing.assert_array_equal(scored.scores, population.true_posteriors)
+        np.testing.assert_array_equal(scored.scores, population.scores)
 
     def test_symmetric_scenarios_fix_the_threshold(self):
         population = generate_population(20_000, seed=4)
