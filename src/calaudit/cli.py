@@ -155,6 +155,8 @@ def _load_manifest(path: str) -> list[AuditRun]:
             run_index = int((row.get("run_index") or "").strip())
         except ValueError:
             raise ScoreSetFormatError(f"{where}run_index must be an integer") from None
+        if run_index < 0:
+            raise ScoreSetFormatError(f"{where}run_index must be >= 0")
         if run_index in seen:
             raise ScoreSetFormatError(f"{where}duplicate run_index {run_index}")
         seen.add(run_index)
@@ -193,7 +195,6 @@ def cmd_sweep(args: argparse.Namespace) -> None:
             "give the long-form CSV another suffix"
         )
     cfg = AuditConfig(**_shared(args), metrics=SWEEP_METRICS, ratios=args.ratios)
-    harness._sweep_ratios(cfg)  # refuse one ratio before the manifest is read
     result = harness.run_sampling_sweep(_load_manifest(args.manifest), cfg)
     harness.write_sweep_csv(result, args.output)
     _write_json(result.to_dict(), summary_path)

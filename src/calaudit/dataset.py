@@ -6,7 +6,6 @@ import csv
 import itertools
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -25,61 +24,23 @@ class DegenerateSampleError(ValueError):
     """Raised when a resampling operation produces an unusable subset."""
 
 
-class _Rendered:
-    """A ``ScoreSet`` string column whose default is rendered on first read,
-    stored in the instance under the field's name with a leading underscore.
-
-    A set built without the column stores a stand-in there, which ``take``
-    gathers, or keeps when it is ``None``, as it gathers any column. The first
-    read renders ``render(stand_in, n)``, marks it read-only and stores it in
-    the stand-in's place. A sweep reads neither default column, so its sets
-    never build the strings.
-    """
-
-    def __init__(self, render) -> None:
-        self.render = render
-
-    def __set_name__(self, owner, name) -> None:
-        self.stored = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None  # the field's default
-        column = getattr(obj, self.stored)
-        if column is None or column.dtype.kind != "U":
-            column = self.render(column, obj.n)
-            column.setflags(write=False)
-            object.__setattr__(obj, self.stored, column)
-        return column
-
-    def __set__(self, obj, value) -> None:
-        object.__setattr__(obj, self.stored, value)
-
-
-# the stored columns, see :class:`_Rendered`
-_COLUMNS = ("scores", "labels", "_sample_ids", "_groups")
-
-
-@dataclass(frozen=True, eq=False)
 class ScoreSet:
     """Immutable evaluation population: probability scores, binary labels, group tags.
 
     ``sample_ids`` default to the record index and ``groups`` to
     :data:`UNKNOWN_GROUP`, both rendered as strings when first read: until
-    then a set stores its records' integer indices for the ids and ``None``
-    for the groups. Arrays are copied and marked read-only, so instances are
-    safe to share across concurrent evaluation tasks. Sets compare and hash by
-    identity, as arrays have no single truth value to compare by.
+    then a set built without them stores ``None`` for each, and a set taken
+    from one stores the taken record indices for the ids. Arrays are copied
+    and marked read-only, so instances are safe to share across concurrent
+    evaluation tasks. A derived set (:meth:`take`, ``apply_miscalibration``)
+    gathers or shares its parent's columns, ids and tags included, without
+    checking them again. Sets compare and hash by identity, as arrays have no
+    single truth value to compare by.
     """
 
-    scores: np.ndarray
-    labels: np.ndarray
-    sample_ids: np.ndarray | None = _Rendered(lambda indices, n: indices.astype(str))
-    groups: np.ndarray | None = _Rendered(lambda _, n: np.full(n, UNKNOWN_GROUP))
-
-    def __post_init__(self) -> None:
-        scores = np.array(self.scores, dtype=np.float64, copy=True).reshape(-1)
-        labels = np.array(self.labels, dtype=np.int64, copy=True).reshape(-1)
+    def __init__(self, scores, labels, sample_ids=None, groups=None) -> None:
+        scores = np.array(scores, dtype=np.float64, copy=True).reshape(-1)
+        labels = np.array(labels, dtype=np.int64, copy=True).reshape(-1)
         n = scores.size
         if n == 0:
             raise ValueError("a ScoreSet must contain at least one record")
@@ -90,21 +51,47 @@ class ScoreSet:
         if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("labels must be 0 or 1")
 
-        if self._sample_ids is None:
-            sample_ids = np.arange(n)
-        else:
-            sample_ids = np.array(self._sample_ids, dtype=str, copy=True).reshape(-1)
-        groups = self._groups
+        if sample_ids is not None:
+            sample_ids = np.array(sample_ids, dtype=str, copy=True).reshape(-1)
         if groups is not None:
             groups = np.array(groups, dtype=str, copy=True).reshape(-1)
         for name, arr in (("sample_ids", sample_ids), ("groups", groups)):
             if arr is not None and arr.size != n:
                 raise ValueError(f"{name} must have the same length as scores")
+        self._store(scores, labels, sample_ids, groups)
 
-        for name, arr in zip(_COLUMNS, (scores, labels, sample_ids, groups)):
-            if arr is not None:
-                arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def _store(self, scores, labels, sample_ids, groups) -> "ScoreSet":
+        """Set the columns, each marked read-only; a default column is ``None``
+        (or, for the ids, integer record indices)."""
+        names = ("scores", "labels", "_sample_ids", "_groups")
+        for name, column in zip(names, (scores, labels, sample_ids, groups)):
+            if column is not None:
+                column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        return self
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"ScoreSet(n={self.n}, prevalence={self.prevalence:g})"
+
+    @property
+    def sample_ids(self) -> np.ndarray:
+        ids = self._sample_ids
+        if ids is None or ids.dtype.kind != "U":
+            ids = (np.arange(self.n) if ids is None else ids).astype(str)
+            self._store(self.scores, self.labels, ids, self._groups)
+        return ids
+
+    @property
+    def groups(self) -> np.ndarray:
+        if self._groups is None:
+            self._store(self.scores, self.labels, self._sample_ids, np.full(self.n, UNKNOWN_GROUP))
+        return self._groups
 
     @property
     def n(self) -> int:
@@ -119,19 +106,26 @@ class ScoreSet:
         """Return the sub-population at ``indices`` (order preserved).
 
         The columns are already validated and read-only, so each is gathered
-        once and not checked again.
+        once and not checked again. A set built without ids gives the taken
+        record indices as ids, so they still name the parent's records.
         """
         idx = np.asarray(indices)
         if idx.size == 0 or (idx.dtype == bool and not idx.any()):
             raise ValueError("a ScoreSet must contain at least one record")
-        subset = object.__new__(ScoreSet)
-        for name in _COLUMNS:
-            column = getattr(self, name)
-            if column is not None:
-                column = column[idx].reshape(-1)
-                column.setflags(write=False)
-            object.__setattr__(subset, name, column)
-        return subset
+        scores, labels, ids, groups = (
+            None if c is None else c[idx].reshape(-1)
+            for c in (self.scores, self.labels, self._sample_ids, self._groups)
+        )
+        if ids is None:
+            # the record indices np.arange(n)[idx] would gather, without building
+            # all n: on a 100k-record set that cost more than the gathers
+            ids = np.flatnonzero(idx) if idx.dtype == bool else idx.reshape(-1) % self.n
+        return object.__new__(ScoreSet)._store(scores, labels, ids, groups)
+
+    def _with_scores(self, scores: np.ndarray) -> "ScoreSet":
+        """This set with ``scores``, a valid float64 column of its length, in
+        place of its own; the other columns are shared."""
+        return object.__new__(ScoreSet)._store(scores, self.labels, self._sample_ids, self._groups)
 
     def group_counts(self) -> dict[str, int]:
         tags, counts = np.unique(self.groups, return_counts=True)

@@ -144,6 +144,9 @@ class AuditConfig:
         # outputs key and label ratios by f"{r:g}"; two that print alike would collide
         if len({f"{r:g}" for r in ratios}) != len(ratios):
             raise ValueError("ratios must be distinct as printed (6 significant digits)")
+        # a sweep tests its first ratio against its last
+        if len(ratios) < 2:
+            raise ValueError(f"a sweep needs at least two ratios, got {list(ratios)}")
         for name, low in (
             ("seed", 0), ("n_bins", 1), ("max_subsample_retries", 0), ("population_size", 2)
         ):
@@ -170,6 +173,14 @@ class AuditConfig:
             and self.validation_fraction + self.test_fraction <= 1.0
         ):
             raise ValueError("validation/test fractions must be positive and sum to <= 1")
+        # a synthetic split holds round(fraction * population_size) records
+        for split in ("validation", "test"):
+            fraction = getattr(self, f"{split}_fraction")
+            if round(fraction * self.population_size) == 0:
+                raise ValueError(
+                    f"population_size {self.population_size} gives an empty {split} split: "
+                    f"{split}_fraction {fraction:g} of it rounds to 0 records"
+                )
         object.__setattr__(self, "metrics", metrics)
         object.__setattr__(self, "ratios", ratios)
 
@@ -659,14 +670,6 @@ def run_size_matched_audit(
     return _audit(runs, config, "size_matched")
 
 
-def _sweep_ratios(cfg: AuditConfig) -> tuple[float, ...]:
-    """The sweep's ratios; a sweep compares its first ratio with its last, so
-    it needs two."""
-    if len(cfg.ratios) < 2:
-        raise ValueError(f"a sweep needs at least two ratios, got {list(cfg.ratios)}")
-    return cfg.ratios
-
-
 def run_sampling_sweep(
     runs: Iterable[AuditRun], config: AuditConfig | None = None
 ) -> SweepResult:
@@ -683,7 +686,7 @@ def run_sampling_sweep(
     that comparison; its rows are read off the series.
     """
     cfg = config if config is not None else AuditConfig()
-    ratios = _sweep_ratios(cfg)
+    ratios = cfg.ratios
     comparison = f"ratio {ratios[0]:g} vs {ratios[-1]:g}"
     attempts = cfg.max_subsample_retries + 1
 
@@ -747,7 +750,6 @@ def run_synthetic_experiment(
 
     cfg = config if config is not None else AuditConfig()
     n_runs = _integer("n_runs", n_runs, 1)
-    _sweep_ratios(cfg)
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
         raise ValueError("scenario names must be unique")

@@ -137,9 +137,11 @@ def apply_miscalibration(pop: ScoreSet, scenario: SyntheticScenario) -> ScoreSet
 
     The transform is strictly increasing, so rankings (and any ranking metric)
     are unchanged; alpha = beta = 1 leaves the scores perfectly calibrated.
+    The distorted set keeps the population's sample ids and group tags.
     """
-    scores = regularized_incomplete_beta(pop.scores, scenario.alpha, scenario.beta)
-    return ScoreSet(scores=scores, labels=pop.labels)
+    return pop._with_scores(
+        regularized_incomplete_beta(pop.scores, scenario.alpha, scenario.beta)
+    )
 
 
 def write_population_csv(

@@ -285,6 +285,15 @@ class TestAuditCommand:
         assert main(["audit", "--manifest", str(manifest), "--output", str(out)]) == 1
         assert f"{manifest} line 2: {column} is empty" in capsys.readouterr().err
 
+    def test_negative_run_index_names_line_before_reading_files(self, tmp_path, capsys):
+        manifest = tmp_path / "runs.csv"
+        manifest.write_text(
+            "run_index,validation_csv_path,test_csv_path\n-1,missing.csv,missing.csv\n"
+        )
+        out = tmp_path / "report.json"
+        assert main(["audit", "--manifest", str(manifest), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {manifest} line 2: run_index must be >= 0\n"
+
     @pytest.mark.parametrize(
         "column, text, message",
         [
@@ -397,6 +406,26 @@ class TestSyntheticCommand:
         )
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_empty_split_rejected_before_any_population_is_drawn(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import calaudit.synthetic
+
+        def no_population(*args, **kwargs):
+            raise AssertionError("population generated")
+
+        monkeypatch.setattr(calaudit.synthetic, "generate_population", no_population)
+        out_dir = tmp_path / "o"
+        code = main(
+            ["synthetic", "--alpha", "1", "--beta", "1", "--n", "2", "--runs", "2",
+             "--output", str(out_dir)]
+        )
+        assert code == 1 and not out_dir.exists()
+        assert capsys.readouterr().err == (
+            "error: population_size 2 gives an empty validation split: "
+            "validation_fraction 0.2 of it rounds to 0 records\n"
+        )
 
     def test_unparsable_number_list_message(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

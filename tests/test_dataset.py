@@ -56,6 +56,14 @@ class TestScoreSet:
         with pytest.raises(ValueError):
             s.scores[0] = 0.5
 
+    @pytest.mark.parametrize("name", ["scores", "labels", "sample_ids", "groups"])
+    def test_columns_cannot_be_reassigned_or_deleted(self, name):
+        s = make_scoreset([0.2, 0.9], [0, 1])
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(s, name, np.array([1, 0]))
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(s, name)
+
     def test_take_preserves_alignment(self):
         s = make_scoreset([0.1, 0.2, 0.3], [0, 1, 0], groups=["a", "b", "a"])
         sub = s.take(np.array([2, 0]))
@@ -81,6 +89,8 @@ class TestScoreSet:
         s = ScoreSet(scores=np.linspace(0.0, 1.0, n), labels=np.arange(n) % 2)
         i = np.array([1, 3, 4, 7, 9, 10, 11])
         j = np.array([0, 2, 5, 6])
+        assert vars(s)["_sample_ids"] is None
+        np.testing.assert_array_equal(vars(s.take(i))["_sample_ids"], i)
         taken = s.take(i).take(j)
         expected = np.arange(n).astype(str)[i][j]
         ids = taken.sample_ids
@@ -96,6 +106,14 @@ class TestScoreSet:
             "10,0.9090909090909092,0,unknown\n"
             "11,1.0,1,unknown\n"
         )
+
+    @pytest.mark.parametrize(
+        "idx", [[3, -1, 0], [True, False, True, False, True], np.array([[4, 1], [0, 2]])]
+    )
+    def test_taken_default_ids_name_the_parents_records(self, idx):
+        s = ScoreSet(scores=np.linspace(0.0, 1.0, 5), labels=np.arange(5) % 2)
+        expected = np.arange(5).astype(str)[np.asarray(idx)].reshape(-1)
+        np.testing.assert_array_equal(s.take(idx).sample_ids, expected)
 
     def test_default_groups_render_on_first_read(self):
         n = 12

@@ -123,6 +123,29 @@ class TestAuditConfig:
         with pytest.raises(ValueError, match="distinct"):
             AuditConfig(ratios=ratios)
 
+    def test_one_ratio_rejected(self):
+        with pytest.raises(ValueError, match=r"^a sweep needs at least two ratios, got \[0.5\]$"):
+            AuditConfig(ratios=(0.5,))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"population_size": 4, "validation_fraction": 0.1},
+             "population_size 4 gives an empty validation split: "
+             "validation_fraction 0.1 of it rounds to 0 records"),
+            ({"population_size": 2},
+             "population_size 2 gives an empty validation split: "
+             "validation_fraction 0.2 of it rounds to 0 records"),
+            ({"population_size": 10, "test_fraction": 0.01},
+             "population_size 10 gives an empty test split: "
+             "test_fraction 0.01 of it rounds to 0 records"),
+        ],
+    )
+    def test_empty_synthetic_split_rejected(self, fields, message):
+        with pytest.raises(ValueError) as excinfo:
+            AuditConfig(**fields)
+        assert str(excinfo.value) == message
+
     def test_repeated_metric_rejected(self):
         with pytest.raises(ValueError, match="repeat"):
             AuditConfig(metrics=("ece", "mce", "ece"))

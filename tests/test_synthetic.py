@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from calaudit import (
+    ScoreSet,
     SyntheticScenario,
     apply_miscalibration,
     balanced_accuracy,
@@ -123,6 +124,19 @@ class TestApplyMiscalibration:
         population = generate_population(5000, seed=3)
         scored = apply_miscalibration(population, SyntheticScenario(1.0, 1.0))
         np.testing.assert_array_equal(scored.scores, population.scores)
+
+    def test_keeps_ids_and_tags_and_shares_labels(self):
+        s = ScoreSet(
+            scores=[0.2, 0.7], labels=[0, 1], sample_ids=["a", "b"], groups=["x", "y"]
+        )
+        t = apply_miscalibration(s, SyntheticScenario(2.0, 2.0))
+        assert t.sample_ids.tolist() == ["a", "b"] and t.groups.tolist() == ["x", "y"]
+        assert t.labels is s.labels and not t.scores.flags.writeable
+        population = generate_population(50, seed=2)
+        distorted = apply_miscalibration(population, SyntheticScenario(2.0, 2.0))
+        assert repr(distorted) == f"ScoreSet(n=50, prevalence={population.prevalence:g})"
+        # the default columns stay unrendered
+        assert vars(distorted)["_sample_ids"] is None and vars(distorted)["_groups"] is None
 
     def test_symmetric_scenarios_fix_the_threshold(self):
         population = generate_population(20_000, seed=4)
