@@ -39,6 +39,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import sys
+import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, is_dataclass
 from typing import IO, Callable, Iterable, Sequence
@@ -500,21 +503,28 @@ def _fit_run_calibrator(
     return diag, _Records(test.scores, test.labels, platt_scores, cfg)
 
 
-def _resolve_group_pair(runs: Sequence[AuditRun], cfg: AuditConfig) -> tuple[str, str]:
-    if cfg.majority is not None and cfg.minority is not None:
-        return cfg.majority, cfg.minority
+def _group_totals(runs: Sequence[AuditRun]) -> list[tuple[str, int]]:
+    """Every tag of the runs' test records but the unknown one, with its total
+    count, largest first (ties by tag)."""
     totals: Counter = Counter()
     for run in runs:
         for tag, count in run.test.group_counts().items():
             if tag != UNKNOWN_GROUP:
                 totals[tag] += count
+    return sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def _resolve_group_pair(
+    totals: list[tuple[str, int]], cfg: AuditConfig
+) -> tuple[str, str]:
+    if cfg.majority is not None and cfg.minority is not None:
+        return cfg.majority, cfg.minority
     if len(totals) < 2:
         raise ValueError(
             "audits need two groups in the test sets; tag the records or pass "
             "explicit majority/minority tags"
         )
-    ordered = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ordered[0][0], ordered[1][0]
+    return totals[0][0], totals[1][0]
 
 
 def _summary_or_none(values: list[float], cfg: AuditConfig) -> BoxplotSummary | None:
@@ -598,7 +608,8 @@ def _audit(
     runs = list(runs)
     if not runs:
         raise ValueError("no runs supplied")
-    majority, minority = _resolve_group_pair(runs, cfg)
+    totals = _group_totals(runs)
+    majority, minority = _resolve_group_pair(totals, cfg)
     matched = kind == "size_matched"
     # series name -> group tag whose test records it holds; None is the
     # majority subsampled to the minority's size
@@ -636,6 +647,11 @@ def _audit(
         return [(s, cell_idx[tag]) for s, tag in sources.items()]
 
     report = _evaluate(runs, cfg, kind, sources, arms, label, cells)
+    report.provenance["notes"][:0] = [
+        f"group {tag!r} ({count} test records) not audited"
+        for tag, count in totals
+        if tag not in (majority, minority)
+    ]
     report.provenance["groups"] = {"majority": majority, "minority": minority}
     if matched:
         report.provenance["match_seeds"] = match_seeds
@@ -745,40 +761,73 @@ def run_synthetic_experiment(
     fit), fits Platt scaling on the validation scores, and sweeps the test set
     over the configured ratios. Bin metrics use the pre-calibration scores;
     the delta metrics compare pre- against post-calibration scores.
-    """
-    from .synthetic import apply_miscalibration, generate_population
 
+    Scenarios are independent and fully seeded, so on Linux they run in
+    forked worker processes, at most one per CPU the process may use; the
+    results, and so every output, do not depend on the worker count. A
+    process with other live threads, or a single CPU, runs them in turn. As
+    in a serial run, an error in any scenario raises the lowest-index
+    scenario's exception, here after every scenario has finished.
+    """
     cfg = config if config is not None else AuditConfig()
     n_runs = _integer("n_runs", n_runs, 1)
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
         raise ValueError("scenario names must be unique")
-    results: dict[str, SweepResult] = {}
-    for si, scenario in enumerate(scenarios):
-        scored = apply_miscalibration(
-            generate_population(cfg.population_size, [cfg.seed, _STREAM_POPULATION, si]),
-            scenario,
-        )
-        n_val = int(round(cfg.validation_fraction * scored.n))
-        n_test = int(round(cfg.test_fraction * scored.n))
+    jobs = [(si, scenario, n_runs, cfg) for si, scenario in enumerate(scenarios)]
+    workers = 1
+    # forking a process with other threads can copy a lock that one of them holds
+    if sys.platform.startswith("linux") and threading.active_count() == 1:
+        workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    if workers < 2:
+        results = [_run_scenario(*job) for job in jobs]
+    else:
+        # imported here: importing calaudit starts no pool and pays nothing for one
+        import multiprocessing
 
-        def _split_runs():
-            for r in range(n_runs):
-                rng = np.random.default_rng([cfg.seed, _STREAM_SPLIT, si, r])
-                perm = rng.permutation(scored.n)
-                yield AuditRun(
-                    run_index=r,
-                    validation=scored.take(np.sort(perm[:n_val])),
-                    test=scored.take(np.sort(perm[n_val : n_val + n_test])),
-                )
+        pool = multiprocessing.get_context("fork").Pool(workers)
+        try:
+            pending = [pool.apply_async(_run_scenario, job) for job in jobs]
+            for p in pending:
+                p.wait()
+            results = [p.get() for p in pending]
+            pool.close()
+        except BaseException:
+            pool.terminate()
+            raise
+        finally:
+            pool.join()
+    return {scenario.name: result for scenario, result in zip(scenarios, results)}
 
-        result = run_sampling_sweep(_split_runs(), cfg)
-        result.provenance.update(
-            scenario={"alpha": scenario.alpha, "beta": scenario.beta, "name": scenario.name},
-            n_runs=n_runs,
-        )
-        results[scenario.name] = result
-    return results
+
+def _run_scenario(si: int, scenario, n_runs: int, cfg: AuditConfig) -> SweepResult:
+    """The sweep of scenario ``si``: its population, its runs' splits and
+    their sampling sweep, every draw seeded from ``(cfg.seed, stream, si, ...)``."""
+    from .synthetic import apply_miscalibration, generate_population
+
+    scored = apply_miscalibration(
+        generate_population(cfg.population_size, [cfg.seed, _STREAM_POPULATION, si]),
+        scenario,
+    )
+    n_val = int(round(cfg.validation_fraction * scored.n))
+    n_test = int(round(cfg.test_fraction * scored.n))
+
+    def _split_runs():
+        for r in range(n_runs):
+            rng = np.random.default_rng([cfg.seed, _STREAM_SPLIT, si, r])
+            perm = rng.permutation(scored.n)
+            yield AuditRun(
+                run_index=r,
+                validation=scored.take(np.sort(perm[:n_val])),
+                test=scored.take(np.sort(perm[n_val : n_val + n_test])),
+            )
+
+    result = run_sampling_sweep(_split_runs(), cfg)
+    result.provenance.update(
+        scenario={"alpha": scenario.alpha, "beta": scenario.beta, "name": scenario.name},
+        n_runs=n_runs,
+    )
+    return result
 
 
 def write_sweep_csv(

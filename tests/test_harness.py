@@ -1,6 +1,12 @@
 import io
 import json
 import math
+import multiprocessing.pool
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +311,32 @@ class TestGroupAudit:
         runs = [AuditRun(run_index=0, validation=s, test=s)]
         with pytest.raises(ValueError, match="two groups"):
             run_group_audit(runs, AuditConfig(metrics=("ece",)))
+
+    @pytest.mark.parametrize(
+        "tags, audited, skipped",
+        [
+            ({}, {"A", "B"}, ["group 'C' (80 test records) not audited"]),
+            (
+                {"majority": "A", "minority": "C"},
+                {"A", "C"},
+                ["group 'B' (120 test records) not audited"],
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("audit", [run_group_audit, run_size_matched_audit])
+    def test_every_tag_left_out_is_noted(self, tags, audited, skipped, audit):
+        runs = []
+        for r in range(5):
+            test = calibrated_scoreset(300, seed=40 + r)
+            groups = np.array(["A"] * 200 + ["B"] * 24 + ["C"] * 16 + ["unknown"] * 60)
+            test = ScoreSet(test.scores, test.labels, groups=groups)
+            runs.append(AuditRun(r, calibrated_scoreset(300, seed=r), test))
+        report = audit(runs, AuditConfig(metrics=("brier",), **tags))
+        assert set(report.provenance["groups"].values()) == audited
+        # untagged records are never audited, and not noted
+        notes = report.provenance["notes"]
+        assert [n for n in notes if "not audited" in n] == skipped
+        assert notes[0] == skipped[0]
 
 
 class TestSizeMatchedAudit:
@@ -770,6 +802,117 @@ class TestSyntheticExperiment:
             run_synthetic_experiment(
                 [SyntheticScenario(1.0, 1.0)], 2, AuditConfig(ratios=(1.0,))
             )
+
+
+class TestScenarioWorkers:
+    """The scenarios of a synthetic experiment run in forked workers, one per
+    CPU, or in turn; results and errors do not depend on which."""
+
+    # the golden-output test's synthetic shape
+    scenarios = [SyntheticScenario(1.0, 1.0), SyntheticScenario(2.0, 2.0),
+                 SyntheticScenario(0.5, 3.0)]
+    cfg = AuditConfig(metrics=SWEEP_METRICS, population_size=2000, ratios=(0.2, 0.6, 1.0))
+
+    @pytest.fixture
+    def scenario_pids(self, monkeypatch, tmp_path):
+        """Runs the experiment with ``cpus`` CPUs; returns the results and, per
+        scenario index, the pid of the process that drew its population. Forked
+        workers inherit the spy."""
+        import calaudit.synthetic
+
+        generate = calaudit.synthetic.generate_population
+
+        def spy(n, seed):
+            (tmp_path / f"{seed[2]}-{os.getpid()}").touch()
+            return generate(n, seed)
+
+        monkeypatch.setattr(calaudit.synthetic, "generate_population", spy)
+
+        def run(cpus):
+            for p in tmp_path.iterdir():
+                p.unlink()
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            results = run_synthetic_experiment(self.scenarios, 3, self.cfg)
+            assert multiprocessing.active_children() == []
+            pids = dict(map(int, p.name.split("-")) for p in tmp_path.iterdir())
+            return results, pids
+
+        return run
+
+    def test_workers_and_serial_run_give_the_same_results(self, scenario_pids):
+        pooled, pids = scenario_pids(cpus=2)
+        assert sorted(pids) == [0, 1, 2] and os.getpid() not in pids.values()
+        serial, pids = scenario_pids(cpus=1)
+        assert set(pids.values()) == {os.getpid()}
+        assert list(pooled) == list(serial)
+        for name in serial:
+            assert json.dumps(pooled[name].to_dict()) == json.dumps(serial[name].to_dict())
+            assert pooled[name].rows == serial[name].rows
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_the_lowest_failing_scenario_raises(self, monkeypatch, scenario_pids, cpus):
+        import calaudit.synthetic
+
+        distort = calaudit.synthetic.apply_miscalibration
+
+        def failing(pop, scenario):
+            if scenario.alpha != 1.0:
+                raise ValueError(f"scenario {scenario.name} failed")
+            return distort(pop, scenario)
+
+        monkeypatch.setattr(calaudit.synthetic, "apply_miscalibration", failing)
+        with pytest.raises(ValueError, match=r"^scenario alpha2_beta2 failed$"):
+            scenario_pids(cpus)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_run_every_scenario_before_raising(self, monkeypatch, tmp_path):
+        import calaudit.synthetic
+
+        def failing(pop, scenario):
+            (tmp_path / scenario.name).touch()
+            raise ValueError(f"scenario {scenario.name} failed")
+
+        monkeypatch.setattr(calaudit.synthetic, "apply_miscalibration", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(ValueError, match=r"^scenario alpha1_beta1 failed$"):
+            run_synthetic_experiment(self.scenarios, 3, self.cfg)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            s.name for s in self.scenarios
+        )
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_terminates_the_workers(self, monkeypatch):
+        def interrupted(self, timeout=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(multiprocessing.pool.ApplyResult, "wait", interrupted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(KeyboardInterrupt):
+            run_synthetic_experiment(self.scenarios, 3, self.cfg)
+        assert multiprocessing.active_children() == []
+
+    def test_another_live_thread_selects_the_serial_run(self, scenario_pids):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            _, pids = scenario_pids(cpus=2)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert set(pids.values()) == {os.getpid()}
+
+    def test_importing_the_cli_imports_no_multiprocessing(self):
+        import calaudit
+
+        src = str(Path(calaudit.__file__).resolve().parents[1])
+        code = "import sys, calaudit.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout == "False\n"
 
 
 # scores from a handful of values, so most records tie with others
