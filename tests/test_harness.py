@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -856,6 +857,8 @@ class TestScenarioWorkers:
         distort = calaudit.synthetic.apply_miscalibration
 
         def failing(pop, scenario):
+            if scenario.alpha == 2.0:
+                time.sleep(0.5)  # scenario 2 fails first in time
             if scenario.alpha != 1.0:
                 raise ValueError(f"scenario {scenario.name} failed")
             return distort(pop, scenario)
@@ -869,6 +872,8 @@ class TestScenarioWorkers:
         import calaudit.synthetic
 
         def failing(pop, scenario):
+            if scenario.alpha != 1.0:
+                time.sleep(0.3)  # still running when scenario 0 has failed
             (tmp_path / scenario.name).touch()
             raise ValueError(f"scenario {scenario.name} failed")
 
