@@ -207,10 +207,6 @@ def cmd_synthetic(args: argparse.Namespace) -> None:
         scenarios = [SyntheticScenario(a, b) for a, b in zip(args.alpha, args.beta)]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if args.runs < 1:
-        raise UsageError("--runs must be >= 1")
-    if args.n < 2:
-        raise UsageError("--n must be >= 2")
     cfg = AuditConfig(
         **_shared(args), metrics=SWEEP_METRICS, ratios=args.ratios, population_size=args.n
     )

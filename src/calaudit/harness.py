@@ -33,6 +33,17 @@ record order, so the sum adds the same numbers in the same order. No
 reduction is batched across cells: a segmented sum (``np.add.reduceat``)
 adds sequentially, not pairwise as ``np.add.reduce`` does, and padding cells
 into rows changes the pairwise blocks, so either could change the last digit.
+
+Once every run is evaluated, the values form one float64 table indexed by
+metric, series and run, and every summary and paired test comes from a few
+row-wise array calls over it (``stats._summaries`` and
+``stats._signed_rank_tests``), one per group of rows with the same number of
+values. That batches whole series, not cells, and keeps the bits of a call on
+each series alone: the rows of a group are compressed, in order and without
+padding, into a C-contiguous block, and numpy computes each row of a
+last-axis quantile or mean of such a block exactly as it does for the row
+alone; the signed-rank sums add half-integers and the exact p-values add
+integer counts, which float64 holds exactly in any order.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ import os
 import sys
 import threading
 from collections import Counter
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
@@ -62,10 +73,14 @@ from .dataset import (
 # decompose_psr is not called here (cells read the per-run loss tables), but
 # bench/tracing.py wraps harness.decompose_psr by name, so the name stays bound
 from .platt import apply_platt, decompose_psr, fit_platt, to_llr  # noqa: F401
-from .stats import (
-    BoxplotSummary,
+# summarize and wilcoxon_signed_rank are not called here (an audit's summaries
+# and tests come from the row-wise cores), but bench/tracing.py wraps them as
+# harness attributes by name, so the names stay bound
+from .stats import (  # noqa: F401
     InsufficientPairsError,
+    _signed_rank_tests,
     _stable_order,
+    _summaries,
     summarize,
     wilcoxon_signed_rank,
 )
@@ -231,13 +246,19 @@ class SweepResult:
         return _jsonable({k: v for k, v in vars(self).items() if k != "rows"})
 
 
+def _fields(record) -> dict:
+    """A record's (dataclass's) fields by name, the values themselves: unlike
+    ``dataclasses.asdict``, nothing is copied."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def _jsonable(value):
     """The JSON data of a result, by one rule: a record (dataclass) becomes a
-    dict with ``asdict``, a tuple a list, a missing (NaN) value ``None``, and a
+    dict of its fields, a tuple a list, a missing (NaN) value ``None``, and a
     float key, such as a sweep's ratio, ``f"{r:g}"``; dicts and lists are
     converted item by item."""
     if is_dataclass(value):
-        value = asdict(value)
+        value = _fields(value)
     if isinstance(value, dict):
         return {
             f"{k:g}" if isinstance(k, float) else k: _jsonable(v) for k, v in value.items()
@@ -495,7 +516,7 @@ def _fit_run_calibrator(
         notes.append(f"run {run.run_index}: Platt fit failed: {exc}")
         diag = {"run": run.run_index, "error": str(exc)}
     else:
-        diag = {"run": run.run_index, **asdict(params)}
+        diag = {"run": run.run_index, **_fields(params)}
         if params.converged:
             platt_scores = apply_platt(params, to_llr(test.scores, cfg.clip_epsilon))
         else:
@@ -527,13 +548,6 @@ def _resolve_group_pair(
     return totals[0][0], totals[1][0]
 
 
-def _summary_or_none(values: list[float], cfg: AuditConfig) -> BoxplotSummary | None:
-    finite = [v for v in values if not math.isnan(v)]
-    if not finite:
-        return None
-    return summarize(finite, cfg.quantile_rule)
-
-
 def _evaluate(
     runs: Iterable[AuditRun],
     cfg: AuditConfig,
@@ -550,11 +564,16 @@ def _evaluate(
     sorted test-record indices, or ``None`` for a cell that could not be drawn,
     whose note the source has written. A cell that is ``None`` or empty (noted
     as absent) has every metric missing; a metric undefined on a cell is
-    missing alone, noted as ``run <i> <label> <metric>: <reason>``. Every
-    series is then summarized, and each arm, a pair of series, gets a paired
-    Wilcoxon test over the runs where both values are finite.
+    missing alone, noted as ``run <i> <label> <metric>: <reason>``.
+
+    The values then form one table indexed by metric, series and run. Every
+    (metric, series) row is summarized, and each arm, a pair of series, gets
+    a paired Wilcoxon test per metric over the runs where both values are
+    finite: all summaries and all tests come from the row-wise cores of
+    ``stats``, which give each row the bits of a call on that row alone.
     """
-    values: dict = {m: {s: [] for s in series} for m in cfg.metrics}
+    slot = {s: k for k, s in enumerate(series)}
+    per_run: list[np.ndarray] = []  # each run's metric x series values
     run_ids: list[int] = []
     platt: list[dict] = []
     notes: list[str] = []
@@ -565,35 +584,45 @@ def _evaluate(
         run_ids.append(i)
         diag, records = _fit_run_calibrator(run, cfg, notes)
         platt.append(diag)
+        run_values = np.full((len(cfg.metrics), len(series)), math.nan)
         for s, idx in cells(run, notes):
             if idx is None or idx.size == 0:
-                cell = dict.fromkeys(cfg.metrics, math.nan)
                 if idx is not None:
                     notes.append(f"run {i}: {label(s)} absent from test set")
             else:
                 cell, errors = _metric_values(cfg.metrics, records, idx)
                 notes.extend(f"run {i} {label(s)} {m}: {why}" for m, why in errors.items())
-            for m in cfg.metrics:
-                values[m][s].append(cell[m])
+                run_values[:, slot[s]] = [cell[m] for m in cfg.metrics]
+        per_run.append(run_values)
     if not run_ids:
         raise ValueError("no runs supplied")
+    table = np.stack(per_run, axis=-1)  # metric x series x run
+    first, second = (table[:, [slot[pair[k]] for pair in arms.values()]] for k in (0, 1))
+    paired = np.isfinite(first) & np.isfinite(second)
+    diffs = np.full(first.shape, math.nan)
+    np.subtract(first, second, out=diffs, where=paired)
+    results = iter(_signed_rank_tests(diffs.reshape(-1, len(run_ids))))
     tests: dict = {m: {} for m in cfg.metrics}
     for m in cfg.metrics:
-        for arm, pair in arms.items():
-            a, b = (np.asarray(values[m][s], dtype=np.float64) for s in pair)
-            ok = np.isfinite(a) & np.isfinite(b)
-            try:
-                tests[m][arm] = wilcoxon_signed_rank(a[ok], b[ok])
-            except InsufficientPairsError as exc:
+        for arm in arms:
+            result = next(results)
+            if isinstance(result, InsufficientPairsError):
                 tests[m][arm] = None
-                notes.append(f"{m} {arm}: {exc}")
-    summaries = {
-        m: {s: _summary_or_none(values[m][s], cfg) for s in series} for m in cfg.metrics
-    }
+                notes.append(f"{m} {arm}: {result}")
+            else:
+                tests[m][arm] = result
+    summaries = iter(_summaries(table.reshape(-1, len(run_ids)), cfg.quantile_rule))
     provenance = {
-        "config": asdict(cfg), "version": __version__, "platt": platt, "notes": notes
+        "config": _fields(cfg), "version": __version__, "platt": platt, "notes": notes
     }
-    return AuditReport(kind, tuple(run_ids), values, summaries, tests, provenance)
+    return AuditReport(
+        kind,
+        tuple(run_ids),
+        {m: dict(zip(series, rows)) for m, rows in zip(cfg.metrics, table.tolist())},
+        {m: {s: next(summaries) for s in series} for m in cfg.metrics},
+        tests,
+        provenance,
+    )
 
 
 def _audit(

@@ -100,6 +100,87 @@ def _exact_distribution(doubled_ranks: tuple[int, ...]) -> np.ndarray:
     return counts
 
 
+def _equal_size_tests(d: np.ndarray) -> list[PairedTestResult]:
+    """The signed-rank test of every row of ``d``, rows of ``n >= 3`` nonzero
+    differences each."""
+    n = d.shape[1]
+    magnitude = np.abs(d)
+    order = np.argsort(magnitude, axis=1, kind="stable")
+    s = np.take_along_axis(magnitude, order, axis=1)
+    positive = np.take_along_axis(d, order, axis=1) > 0
+    # a tie block ends at every edge: first and last sorted position of each
+    # position's block, whose mid-rank is their mean, 1-based
+    edge = np.ones((len(d), n + 1), dtype=bool)
+    edge[:, 1:-1] = s[:, 1:] != s[:, :-1]
+    position = np.arange(n)
+    first = np.maximum.accumulate(np.where(edge[:, :-1], position, 0), axis=1)
+    last = np.minimum.accumulate(np.where(edge[:, 1:], position, n - 1)[:, ::-1], axis=1)
+    last = last[:, ::-1]
+    ranks = (first + last) / 2.0 + 1.0
+    w_plus = np.where(positive, ranks, 0.0).sum(axis=1)
+    statistic = np.minimum(w_plus, np.where(positive, 0.0, ranks).sum(axis=1))
+    if n <= EXACT_ENUMERATION_CUTOFF:
+        method = "exact"
+        # a row's doubled ranks, ascending, are the key of its exact null; the
+        # counts are exact integers, so both tail sums are exact in any order
+        nulls = np.stack(
+            [_exact_distribution(tuple(key)) for key in (first + last + 2).tolist()]
+        )
+        w2 = np.rint(2.0 * statistic)[:, None]
+        at = np.arange(nulls.shape[1])
+        lower = np.where(at <= w2, nulls, 0.0).sum(axis=1)
+        upper = np.where(at >= n * (n + 1) - w2, nulls, 0.0).sum(axis=1)
+        p_values = ((lower + upper) / 2.0**n).tolist()
+    else:
+        method = "normal_approx"
+        mu = n * (n + 1) / 2.0 / 2.0
+        # a tie block of t records adds t**3 - t, that is t**2 - 1 at each of its positions
+        tied = (last - first + 1).astype(np.float64)
+        tie_terms = (tied**2 - 1.0).sum(axis=1).tolist()
+        p_values = []
+        for wp, tie_term in zip(w_plus.tolist(), tie_terms):
+            sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
+            z = max(0.0, abs(wp - mu) - 0.5) / math.sqrt(sigma2)
+            p_values.append(math.erfc(z / math.sqrt(2.0)))
+    return [
+        PairedTestResult(statistic=w, p_value=min(1.0, p), n_effective=n, method=method)
+        for w, p in zip(statistic.tolist(), p_values)
+    ]
+
+
+def _signed_rank_tests(
+    diffs: np.ndarray,
+) -> list[PairedTestResult | InsufficientPairsError]:
+    """The two-sided Wilcoxon signed-rank test of every row of ``diffs``.
+
+    A NaN entry is a missing pair and a zero difference is discarded. Rows
+    with the same number ``n`` of remaining differences are tested together:
+    one stable argsort of their absolute values per row gives the tie blocks,
+    each sorted position's mid-rank is the mean of its block's positions, and
+    W+ and W- are masked row sums. Mid-ranks are half-integers, which float64
+    adds exactly in any order, so each row gets the bits of a test of that
+    row alone. A row with fewer than 3 differences gets the
+    :class:`InsufficientPairsError` a test of it would raise.
+    """
+    kept = (diffs != 0.0) & ~np.isnan(diffs)
+    sizes = kept.sum(axis=1)
+    out: list = [None] * len(diffs)
+    for n in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == n)
+        if n < 3:
+            results = [
+                InsufficientPairsError(
+                    f"insufficient pairs: need >= 3 nonzero differences, got {n}"
+                )
+                for _ in rows
+            ]
+        else:
+            results = _equal_size_tests(diffs[rows][kept[rows]].reshape(-1, n))
+        for row, result in zip(rows.tolist(), results):
+            out[row] = result
+    return out
+
+
 def wilcoxon_signed_rank(
     x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray
 ) -> PairedTestResult:
@@ -119,37 +200,38 @@ def wilcoxon_signed_rank(
     d = x - y
     if np.isnan(d).any():
         raise ValueError("paired differences must not be NaN")
-    d = d[d != 0.0]
-    n = int(d.size)
-    if n < 3:
-        raise InsufficientPairsError(
-            f"insufficient pairs: need >= 3 nonzero differences, got {n}"
-        )
-    ranks = midranks(np.abs(d))
-    w_plus = float(ranks[d > 0].sum())
-    w_minus = float(ranks[d < 0].sum())
-    w = min(w_plus, w_minus)
-    total = n * (n + 1) / 2.0
+    (result,) = _signed_rank_tests(d.reshape(1, -1))
+    if isinstance(result, InsufficientPairsError):
+        raise result
+    return result
 
-    if n <= EXACT_ENUMERATION_CUTOFF:
-        doubled = np.rint(2.0 * ranks).astype(np.int64)
-        counts = _exact_distribution(tuple(np.sort(doubled).tolist()))
-        w2 = int(round(2.0 * w))
-        total2 = int(doubled.sum())
-        p = (counts[: w2 + 1].sum() + counts[total2 - w2 :].sum()) / 2.0**n
-        return PairedTestResult(
-            statistic=w, p_value=min(1.0, float(p)), n_effective=n, method="exact"
-        )
 
-    mu = total / 2.0
-    _, tie_counts = np.unique(np.abs(d), return_counts=True)
-    tie_term = float(np.sum(tie_counts.astype(np.float64) ** 3 - tie_counts))
-    sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
-    z = max(0.0, abs(w_plus - mu) - 0.5) / math.sqrt(sigma2)
-    p = math.erfc(z / math.sqrt(2.0))
-    return PairedTestResult(
-        statistic=w, p_value=min(1.0, p), n_effective=n, method="normal_approx"
-    )
+def _summaries(rows: np.ndarray, quantile_rule: str) -> list[BoxplotSummary | None]:
+    """The summary of the values of every row of ``rows``, NaN entries left
+    out, or ``None`` for a row of NaNs only.
+
+    Rows with the same number of values are summarized together: their values
+    are compressed in order into one C-contiguous block, and numpy computes
+    each row of a last-axis ``quantile`` or ``mean`` of that block exactly as
+    it does for the row alone, so every row gets the bits of its own summary.
+    """
+    if np.isinf(rows).any():
+        raise ValueError("summarize needs finite values")
+    present = ~np.isnan(rows)
+    counts = present.sum(axis=1)
+    out: list = [None] * len(rows)
+    for n in np.unique(counts[counts > 0]).tolist():
+        which = np.flatnonzero(counts == n)
+        block = rows[which][present[which]].reshape(which.size, n)
+        quartiles = np.quantile(block, [0.25, 0.5, 0.75], axis=-1, method=quantile_rule)
+        q1, med, q3 = quartiles.tolist()
+        iqr = (quartiles[2] - quartiles[0]).tolist()
+        mean = block.mean(axis=-1).tolist()
+        for k, row in enumerate(which.tolist()):
+            out[row] = BoxplotSummary(
+                mean=mean[k], median=med[k], q1=q1[k], q3=q3[k], iqr=iqr[k], n=n
+            )
+    return out
 
 
 def summarize(
@@ -160,17 +242,9 @@ def summarize(
     Quartiles interpolate order statistics with numpy's ``quantile_rule``
     (default ``"linear"``, i.e. positions (k-1)/(n-1)).
     """
-    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    v = np.asarray(values, dtype=np.float64).reshape(1, -1)
     if v.size == 0:
         raise ValueError("summarize needs at least one value")
-    if not np.all(np.isfinite(v)):
+    if np.isnan(v).any():
         raise ValueError("summarize needs finite values")
-    q1, med, q3 = np.quantile(v, [0.25, 0.5, 0.75], method=quantile_rule)
-    return BoxplotSummary(
-        mean=float(v.mean()),
-        median=float(med),
-        q1=float(q1),
-        q3=float(q3),
-        iqr=float(q3 - q1),
-        n=int(v.size),
-    )
+    return _summaries(v, quantile_rule)[0]

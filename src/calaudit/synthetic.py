@@ -33,7 +33,12 @@ class SyntheticScenario:
 
 
 def _beta_continued_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Modified Lentz evaluation of the continued fraction behind I_x(a, b)."""
+    """Modified Lentz evaluation of the continued fraction behind I_x(a, b).
+
+    The loop works in place, in one scratch array and one mask, with each
+    expression evaluated in the textbook order (``1 + aa * d``, ``1 + aa / c``,
+    ``h * d * c``), so every element gets the bits of the allocating form.
+    """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -43,24 +48,33 @@ def _beta_continued_fraction(a: float, b: float, x: np.ndarray) -> np.ndarray:
     d = 1.0 / d
     h = d.copy()
     converged = np.zeros(x.shape, dtype=bool)
+    aa = np.empty_like(x)
+    scratch = np.empty_like(x)
+    tiny = np.empty(x.shape, dtype=bool)
+
+    def floor(v: np.ndarray) -> None:
+        # v = FPMIN where |v| < FPMIN
+        np.less(np.abs(v, out=scratch), _CF_FPMIN, out=tiny)
+        np.copyto(v, _CF_FPMIN, where=tiny)
+
+    def step(numerator: float, denominator: float) -> None:
+        # aa = numerator * x / denominator; d = 1 / (1 + aa * d); c = 1 + aa / c
+        np.divide(np.multiply(x, numerator, out=aa), denominator, out=aa)
+        np.add(np.multiply(aa, d, out=d), 1.0, out=d)
+        floor(d)
+        np.add(np.divide(aa, c, out=c), 1.0, out=c)
+        floor(c)
+        np.divide(1.0, d, out=d)
+
     for m in range(1, _CF_MAX_ITERATIONS + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _CF_FPMIN, where=np.abs(d) < _CF_FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _CF_FPMIN, where=np.abs(c) < _CF_FPMIN)
-        d = 1.0 / d
-        h = h * d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _CF_FPMIN, where=np.abs(d) < _CF_FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _CF_FPMIN, where=np.abs(c) < _CF_FPMIN)
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        converged |= np.abs(delta - 1.0) < _CF_EPS
+        step(m * (b - m), (qam + m2) * (a + m2))
+        np.multiply(np.multiply(h, d, out=h), c, out=h)
+        step(-(a + m) * (qab + m), (a + m2) * (qap + m2))
+        delta = np.multiply(d, c, out=scratch)
+        np.multiply(h, delta, out=h)
+        np.less(np.abs(np.subtract(delta, 1.0, out=scratch), out=scratch), _CF_EPS, out=tiny)
+        converged |= tiny
         if converged.all():
             break
     if not converged.all():

@@ -1,11 +1,16 @@
 import os
 
 import numpy as np
+from hypothesis import settings
 
 try:
     from numpy._core import _multiarray_umath as _umath
 except ImportError:  # numpy 1.x
     from numpy.core import _multiarray_umath as _umath
+
+# `pytest --hypothesis-profile=ci` runs every Hypothesis test that sets no
+# example count of its own at ten times the default that tier-1 uses
+settings.register_profile("ci", max_examples=10 * settings.default.max_examples)
 
 # the BLAS thread count sets the last digits of the Platt fit's dot products
 _THREAD_VARS = (

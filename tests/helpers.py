@@ -41,3 +41,11 @@ def match_indices(s: ScoreSet, majority: str, minority: str, seed) -> np.ndarray
         np.flatnonzero(s.groups == minority),
         seed,
     )
+
+
+def record_bits(record):
+    """A result record's fields with every float as its exact bits (``hex``);
+    ``None`` stays ``None``."""
+    if record is None:
+        return None
+    return tuple(v.hex() if isinstance(v, float) else v for v in vars(record).values())

@@ -4,7 +4,8 @@ Everything here is deliberately slow and literal: pairwise loops, explicit
 threshold sweeps, boundary scans, full sign-pattern enumeration, adaptive
 quadrature. None of it shares code with the package under test, except that
 the score-CSV parser builds the package's ``ScoreSet`` and raises its
-``ScoreSetFormatError``.
+``ScoreSetFormatError``, and the one-row statistics return the package's
+result records and raise its ``InsufficientPairsError``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from scipy import integrate, special
 
 from calaudit.dataset import UNKNOWN_GROUP, ScoreSet, ScoreSetFormatError
+from calaudit.stats import BoxplotSummary, InsufficientPairsError, PairedTestResult
 
 
 def roc_auc_pairwise(scores, labels) -> float:
@@ -162,6 +164,120 @@ def _midranks_list(values) -> list[float]:
             ranks[order[k]] = avg
         i = j + 1
     return ranks
+
+
+# summarize and wilcoxon_signed_rank as they were before both became the
+# one-row case of a row-wise core, kept verbatim as the reference for
+# stats._summaries and stats._signed_rank_tests, except that the mid-ranks and
+# the exact null come from the literal forms here
+def summarize_one_row(values, quantile_rule: str = "linear") -> BoxplotSummary:
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    if v.size == 0:
+        raise ValueError("summarize needs at least one value")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("summarize needs finite values")
+    q1, med, q3 = np.quantile(v, [0.25, 0.5, 0.75], method=quantile_rule)
+    return BoxplotSummary(
+        mean=float(v.mean()),
+        median=float(med),
+        q1=float(q1),
+        q3=float(q3),
+        iqr=float(q3 - q1),
+        n=int(v.size),
+    )
+
+
+def _exact_counts(doubled_ranks) -> np.ndarray:
+    """Counts of 2*W+ over all sign assignments, by convolution in the given order."""
+    total = sum(doubled_ranks)
+    counts = np.zeros(total + 1, dtype=np.float64)
+    counts[0] = 1.0
+    for g in doubled_ranks:
+        counts[g:] = counts[g:] + counts[: total + 1 - g]
+    return counts
+
+
+def wilcoxon_one_row(x, y) -> PairedTestResult:
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("x and y must be one-dimensional and equally long")
+    d = x - y
+    if np.isnan(d).any():
+        raise ValueError("paired differences must not be NaN")
+    d = d[d != 0.0]
+    n = int(d.size)
+    if n < 3:
+        raise InsufficientPairsError(
+            f"insufficient pairs: need >= 3 nonzero differences, got {n}"
+        )
+    ranks = np.array(_midranks_list(np.abs(d).tolist()), dtype=np.float64)
+    w_plus = float(ranks[d > 0].sum())
+    w_minus = float(ranks[d < 0].sum())
+    w = min(w_plus, w_minus)
+    total = n * (n + 1) / 2.0
+
+    if n <= 25:
+        doubled = np.rint(2.0 * ranks).astype(np.int64)
+        counts = _exact_counts(doubled.tolist())
+        w2 = int(round(2.0 * w))
+        total2 = int(doubled.sum())
+        p = (counts[: w2 + 1].sum() + counts[total2 - w2 :].sum()) / 2.0**n
+        return PairedTestResult(
+            statistic=w, p_value=min(1.0, float(p)), n_effective=n, method="exact"
+        )
+
+    mu = total / 2.0
+    _, tie_counts = np.unique(np.abs(d), return_counts=True)
+    tie_term = float(np.sum(tie_counts.astype(np.float64) ** 3 - tie_counts))
+    sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
+    z = max(0.0, abs(w_plus - mu) - 0.5) / math.sqrt(sigma2)
+    p = math.erfc(z / math.sqrt(2.0))
+    return PairedTestResult(
+        statistic=w, p_value=min(1.0, p), n_effective=n, method="normal_approx"
+    )
+
+
+# the modified Lentz loop of synthetic._beta_continued_fraction as it was
+# before it computed in place, kept verbatim (its constants as parameters) as
+# the reference for its bits
+def beta_continued_fraction_allocating(
+    a: float, b: float, x: np.ndarray, max_iterations=300, eps=1e-15, fpmin=1e-300
+) -> np.ndarray:
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = np.ones_like(x)
+    d = 1.0 - qab * x / qap
+    np.copyto(d, fpmin, where=np.abs(d) < fpmin)
+    d = 1.0 / d
+    h = d.copy()
+    converged = np.zeros(x.shape, dtype=bool)
+    for m in range(1, max_iterations + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        np.copyto(d, fpmin, where=np.abs(d) < fpmin)
+        c = 1.0 + aa / c
+        np.copyto(c, fpmin, where=np.abs(c) < fpmin)
+        d = 1.0 / d
+        h = h * d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        np.copyto(d, fpmin, where=np.abs(d) < fpmin)
+        c = 1.0 + aa / c
+        np.copyto(c, fpmin, where=np.abs(c) < fpmin)
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        converged |= np.abs(delta - 1.0) < eps
+        if converged.all():
+            break
+    if not converged.all():
+        raise RuntimeError(
+            f"incomplete beta continued fraction did not converge for a={a}, b={b}"
+        )
+    return h
 
 
 def beta_cdf_quadrature(x: float, alpha: float, beta: float) -> float:

@@ -427,6 +427,26 @@ class TestSyntheticCommand:
             "validation_fraction 0.2 of it rounds to 0 records\n"
         )
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", "1", "--runs", "2"], "population_size must be >= 2"),
+            (["--n", "-5", "--runs", "2"], "population_size must be >= 2"),
+            (["--n", "400", "--runs", "0"], "n_runs must be >= 1"),
+        ],
+    )
+    def test_bad_size_or_run_count_is_refused_by_the_library(
+        self, tmp_path, capsys, flags, message
+    ):
+        # AuditConfig and run_synthetic_experiment hold the rules; the CLI adds
+        # none, so every bad --n or --runs exits 1, as --n 2 does
+        out_dir = tmp_path / "o"
+        code = main(
+            ["synthetic", "--alpha", "1", "--beta", "1", *flags, "--output", str(out_dir)]
+        )
+        assert code == 1 and not out_dir.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unparsable_number_list_message(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--manifest", "m.csv", "--output", "o.csv", "--ratios", "1,x"])

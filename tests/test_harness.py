@@ -47,6 +47,7 @@ from calaudit import (
     write_sweep_csv,
 )
 from calaudit import harness
+from calaudit.stats import InsufficientPairsError
 from calaudit.calibration import _equal_count_bins
 from calaudit.harness import (
     DISCRIMINATION_METRICS,
@@ -57,7 +58,7 @@ from calaudit.harness import (
 from calaudit.platt import sigmoid
 
 import oracles
-from helpers import calibrated_scoreset, counted, match_indices
+from helpers import calibrated_scoreset, counted, match_indices, record_bits
 
 
 def _two_group_runs(
@@ -564,6 +565,54 @@ def test_missing_cell_notes_and_sweep_rows_pinned():
     np.testing.assert_array_equal(
         [row[3] for row in result.rows], [row[3] for row in expected]
     )
+
+
+@pytest.mark.parametrize("quantile_rule", ["linear", "hazen", "nearest"])
+def test_table_summaries_and_tests_equal_the_per_series_loop(quantile_rule):
+    # missing cells of several kinds, so the series differ in their counts
+    cfg = AuditConfig(
+        metrics=("auc_roc", "ece", "delta_ce"), ratios=(0.1, 0.2, 1.0), majority="big",
+        minority="small", max_subsample_retries=0, seed=89, quantile_rule=quantile_rule,
+    )
+    report = run_size_matched_audit(_policy_runs(), cfg)
+    # the per-series loop the table replaced, through the one-row oracles
+    for m, per in report.series.items():
+        for s, values in per.items():
+            finite = [v for v in values if not math.isnan(v)]
+            expected = oracles.summarize_one_row(finite, quantile_rule) if finite else None
+            assert record_bits(report.summaries[m][s]) == record_bits(expected)
+        for arm, pair in report.provenance["arms"].items():
+            a, b = (np.asarray(per[s], dtype=np.float64) for s in pair)
+            ok = np.isfinite(a) & np.isfinite(b)
+            try:
+                expected = oracles.wilcoxon_one_row(a[ok], b[ok])
+            except InsufficientPairsError:
+                expected = None
+            assert record_bits(report.tests[m][arm]) == record_bits(expected)
+
+
+def test_reports_hold_python_floats():
+    cfg = AuditConfig(
+        metrics=("auc_roc", "delta_ce"), ratios=(0.1, 0.2, 1.0), majority="big",
+        minority="small", max_subsample_retries=0, seed=89,
+    )
+    runs = _policy_runs()
+    report = run_size_matched_audit(runs, cfg)
+    values = [v for per in report.series.values() for vals in per.values() for v in vals]
+    records = [
+        r for per in (*report.summaries.values(), *report.tests.values())
+        for r in per.values() if r is not None
+    ]
+    result = run_sampling_sweep(runs, cfg)
+    values += [row[3] for row in result.rows]
+    records += [r for per in result.summaries.values() for r in per.values() if r is not None]
+    records += [t for t in result.tests.values() if t is not None]
+    assert values and records
+    assert {type(v) for v in values} == {float}
+    assert {
+        type(v) for r in records for k, v in vars(r).items()
+        if k not in ("n", "n_effective", "method")
+    } == {float}
 
 
 class TestFailedPlattFit:

@@ -8,6 +8,7 @@ from calaudit import stats
 from calaudit.stats import midranks
 
 import oracles
+from helpers import record_bits
 
 
 class TestMidranks:
@@ -204,3 +205,124 @@ class TestSummarize:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             summarize([1.0, float("nan")])
+
+
+_QUANTILE_METHODS = (
+    "inverted_cdf", "averaged_inverted_cdf", "closest_observation",
+    "interpolated_inverted_cdf", "hazen", "weibull", "linear", "median_unbiased",
+    "normal_unbiased", "lower", "higher", "midpoint", "nearest",
+)
+
+
+@st.composite
+def _tables(draw, values, max_runs):
+    """A float64 table of 1-6 rows, each with its own share of NaN (missing)
+    entries: all, none or a random mix, so rows differ in their counts. Half
+    the tables have at least three quarters of ``max_runs`` columns."""
+    n_runs = draw(st.integers(0, max_runs) | st.integers(max_runs * 3 // 4, max_runs))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = draw(st.lists(values, min_size=n_runs, max_size=n_runs))
+        missing = draw(
+            st.one_of(
+                st.just("none"), st.just("all"),
+                # about one entry in four missing
+                st.lists(
+                    st.sampled_from([False, False, False, True]),
+                    min_size=n_runs, max_size=n_runs,
+                ),
+            )
+        )
+        if missing == "all":
+            row = [np.nan] * n_runs
+        elif missing != "none":
+            row = [np.nan if gone else v for v, gone in zip(row, missing)]
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), n_runs)
+
+
+def _one_row(call):
+    """``call()``'s result, or the type and message of the ``ValueError`` it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_SUMMARY_VALUES = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(0.0, 1.0).map(lambda v: round(v, 1)),  # ties
+    st.sampled_from([0.0, -0.0, 0.25]),
+)
+
+
+@settings(database=None, deadline=None)
+@given(
+    _tables(st.one_of(_SUMMARY_VALUES, st.just(np.inf)), max_runs=40),
+    st.sampled_from(_QUANTILE_METHODS),
+)
+@example(np.full((2, 3), np.nan), "linear")
+@example(np.array([[0.1, np.nan, 0.3], [np.inf, 1.0, 2.0]]), "linear")
+def test_summaries_equal_one_row_summaries(table, method):
+    """``stats._summaries`` gives every row the summary that the old
+    ``summarize`` gives its non-NaN values (``None`` when there are none)."""
+    expected = [
+        _one_row(lambda: oracles.summarize_one_row(row[~np.isnan(row)], method))
+        if (~np.isnan(row)).any() else None
+        for row in table
+    ]
+    errors = [e for e in expected if isinstance(e, tuple)]
+    got = _one_row(lambda: stats._summaries(table, method))
+    if errors:
+        assert got == errors[0] == (ValueError, "summarize needs finite values")
+        return
+    assert [record_bits(s) for s in got] == [record_bits(s) for s in expected]
+    for row, summary in zip(table, got):
+        if summary is not None:
+            assert {type(v) for k, v in vars(summary).items() if k != "n"} == {float}
+            # the public call is the one-row case
+            assert record_bits(summarize(row[~np.isnan(row)], method)) == record_bits(summary)
+
+
+@settings(database=None, deadline=None)
+@given(st.lists(st.one_of(_SUMMARY_VALUES, st.just(np.nan), st.just(-np.inf)), max_size=30))
+def test_summarize_refuses_what_it_refused(values):
+    expected = _one_row(lambda: oracles.summarize_one_row(values))
+    got = _one_row(lambda: summarize(values))
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert record_bits(got) == record_bits(expected)
+
+
+_DIFFERENCES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, np.inf, -np.inf]),
+    st.floats(-3.0, 3.0).map(lambda v: round(v, 1)),  # ties
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@settings(database=None, deadline=None)
+@given(_tables(_DIFFERENCES, max_runs=36))
+@example(np.array([[1.0, -2.0, 0.0, np.nan, 3.0], [0.0, -0.0, 1.0, np.nan, np.nan]]))
+@example(np.arange(1.0, 31.0).reshape(1, 30) * np.where(np.arange(30) % 3, 1.0, -1.0))
+def test_signed_rank_tests_equal_one_row_tests(diffs):
+    """``stats._signed_rank_tests`` gives every row the result (or the
+    ``InsufficientPairsError`` and its text) of the old test on that row's
+    non-NaN differences, on both sides of the exact/normal cutoff."""
+    got = stats._signed_rank_tests(diffs)
+    assert len(got) == len(diffs)
+    for row, result in zip(diffs, got):
+        d = row[~np.isnan(row)]
+        try:
+            expected = oracles.wilcoxon_one_row(d, np.zeros(d.size))
+        except InsufficientPairsError as exc:
+            assert type(result) is InsufficientPairsError
+            assert str(result) == str(exc)
+            with pytest.raises(InsufficientPairsError) as raised:
+                wilcoxon_signed_rank(d, np.zeros(d.size))
+            assert str(raised.value) == str(exc)
+            continue
+        assert record_bits(result) == record_bits(expected)
+        assert type(result.statistic) is type(result.p_value) is float
+        assert record_bits(wilcoxon_signed_rank(d, np.zeros(d.size))) == record_bits(expected)

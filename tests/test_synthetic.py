@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from calaudit import (
     ScoreSet,
@@ -16,6 +18,7 @@ from calaudit import (
     roc_auc,
     write_population_csv,
 )
+from calaudit import synthetic
 from calaudit.synthetic import regularized_incomplete_beta
 
 import oracles
@@ -70,6 +73,63 @@ class TestRegularizedIncompleteBeta:
             qs = regularized_incomplete_beta(xs, a, b)
             back = oracles.inverse_beta_cdf(qs, a, b)
             np.testing.assert_allclose(back, xs, atol=1e-9)
+
+
+def _continued_fraction_outcome(call):
+    """The bytes of ``call()``'s array, or the message of its ``RuntimeError``."""
+    try:
+        return call().tobytes()
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def _floored_start(a: float, b: float) -> float:
+    """The x at which the fraction's first ``d = 1 - (a + b) x / (a + 1)`` is
+    at or near 0, so it is raised to the 1e-300 floor when it is 0."""
+    return min(max((a + 1.0) / (a + b), 1e-9), 1.0 - 1e-9)
+
+
+@settings(database=None, deadline=None)
+@given(
+    st.floats(0.1, 20.0),
+    st.floats(0.1, 20.0),
+    st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=40),
+    st.booleans(),
+)
+@example(1.0, 3.0, [0.5], False)  # d starts at exactly 0
+@example(5.0, 5.0, [0.25, 0.5, 1e-300], True)
+@example(20.0, 20.0, [0.999], False)  # far past the switch point: slow convergence
+def test_continued_fraction_equals_allocating_form(a, b, xs, add_floored):
+    """The in-place Lentz loop gives the allocating loop's bits, or its
+    non-convergence error, on any (a, b) and x in (0, 1)."""
+    if add_floored:
+        xs = xs + [_floored_start(a, b)]
+    x = np.array(xs, dtype=np.float64)
+    expected = _continued_fraction_outcome(
+        lambda: oracles.beta_continued_fraction_allocating(a, b, x)
+    )
+    assert _continued_fraction_outcome(
+        lambda: synthetic._beta_continued_fraction(a, b, x)
+    ) == expected
+
+
+def test_continued_fraction_floor_and_error_message(monkeypatch):
+    x = np.array([0.5])
+    # (a, b) = (1, 3): d starts at 1 - 4 * 0.5 / 2 = 0, raised to the floor
+    assert 1.0 - 4.0 * 0.5 / 2.0 == 0.0
+    assert synthetic._beta_continued_fraction(1.0, 3.0, x).tobytes() == (
+        oracles.beta_continued_fraction_allocating(1.0, 3.0, x).tobytes()
+    )
+    monkeypatch.setattr(synthetic, "_CF_MAX_ITERATIONS", 2)
+    with pytest.raises(RuntimeError) as excinfo:
+        synthetic._beta_continued_fraction(5.0, 5.0, np.array([0.3, 0.45]))
+    assert str(excinfo.value) == (
+        "incomplete beta continued fraction did not converge for a=5.0, b=5.0"
+    )
+    with pytest.raises(RuntimeError, match=f"^{str(excinfo.value)}$"):
+        oracles.beta_continued_fraction_allocating(
+            5.0, 5.0, np.array([0.3, 0.45]), max_iterations=2
+        )
 
 
 class TestSyntheticScenario:
