@@ -3,6 +3,14 @@
 Every estimator takes a set's ``scores`` and ``labels`` as arrays, as a
 :class:`~calaudit.dataset.ScoreSet` holds them: non-empty, of equal length,
 scores in [0, 1] and labels 0 or 1. They are not checked again here.
+
+The bin kernels evaluate many sets at once, and a single set is the case of
+one: every bin sum of every set comes from one ``np.bincount`` over the
+records of all the sets, each set's bins offset by ``n_bins``, and bincount
+adds each bin's records in record order, as a call on that set alone does.
+The ECE's sum over a set's occupied bins depends on the order of its terms,
+so it is taken row-wise on sets with equal numbers of occupied bins
+(``stats._RaggedRows``), with the bits of the 1-D sum.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import _stable_order
+from .stats import _RaggedRows, _stable_order
 
 EQUAL_WIDTH = "equal_width"
 EQUAL_COUNT = "equal_count"
@@ -48,20 +56,29 @@ def _equal_width_bins(scores: np.ndarray, n_bins: int) -> np.ndarray:
     return np.searchsorted(np.linspace(0.0, 1.0, n_bins + 1)[1:-1], scores, side="left")
 
 
-def _equal_count_bins(positions: np.ndarray, n_bins: int) -> np.ndarray:
-    """Equal-count bin index of every record, from its position in the stable
-    sort of its set: ``np.array_split`` runs of those positions, larger first,
-    gathered from the bin index of every position."""
-    n = positions.size
-    if n < n_bins:
-        raise ValueError(
-            f"equal_count binning needs at least n_bins={n_bins} samples, got {n}"
-        )
-    base, extras = divmod(n, n_bins)
-    # the first `extras` bins hold base + 1 positions each, the rest base
-    sizes = np.full(n_bins, base)
-    sizes[:extras] += 1
-    return np.repeat(np.arange(n_bins), sizes)[positions]
+def _equal_count_bins(positions: np.ndarray, sizes: np.ndarray, n_bins: int) -> np.ndarray:
+    """Equal-count bin of every record of sets laid one after another, each
+    in the stable order of its scores: ``positions`` are the records'
+    positions in that layout and ``sizes`` the sets' sizes, and set ``k``'s
+    bins are numbered from ``k * n_bins``. Each set's positions are split
+    into runs as ``np.array_split`` splits them, larger first, and a record's
+    bin is gathered from the bin of every position. A set smaller than
+    ``n_bins`` (refused by the callers, see :func:`_too_few_for_equal_count`)
+    gets one record per bin."""
+    base, extras = np.divmod(sizes, n_bins)
+    # each set's first `extras` bins hold base + 1 positions each, the rest base
+    counts = base[:, None] + (np.arange(n_bins) < extras[:, None])
+    return np.repeat(np.arange(counts.size), counts.ravel())[positions]
+
+
+def _too_few_for_equal_count(sizes: np.ndarray, n_bins: int) -> dict[int, str]:
+    """The reason, under each set's number, that equal-count binning refuses
+    a set smaller than ``n_bins``."""
+    small = np.flatnonzero(sizes < n_bins)
+    return {
+        k: f"equal_count binning needs at least n_bins={n_bins} samples, got {n}"
+        for k, n in zip(small.tolist(), sizes[small].tolist())
+    }
 
 
 def bin_scores(
@@ -80,8 +97,13 @@ def bin_scores(
         return Binning(EQUAL_WIDTH, n_bins, _equal_width_bins(scores, n_bins))
     if scheme == EQUAL_COUNT:
         n = scores.size
+        too_few = _too_few_for_equal_count(np.array([n]), n_bins)
+        if too_few:
+            raise ValueError(too_few[0])
         membership = np.empty(n, dtype=np.int64)
-        membership[_stable_order(scores)] = _equal_count_bins(np.arange(n), n_bins)
+        membership[_stable_order(scores)] = _equal_count_bins(
+            np.arange(n), np.array([n]), n_bins
+        )
         return Binning(EQUAL_COUNT, n_bins, membership)
     raise ValueError(f"unknown binning scheme {scheme!r}")
 
@@ -90,33 +112,39 @@ Gaps = tuple[np.ndarray, np.ndarray]
 
 
 def _bin_gaps(
-    scores: np.ndarray, labels: np.ndarray, membership: np.ndarray, n_bins: int
+    bins: np.ndarray, scores: np.ndarray, labels: np.ndarray, n_sets: int, n_bins: int
 ) -> Gaps:
-    """Counts and |positive rate - mean score| of the non-empty bins, from
-    per-bin sums accumulated in record order."""
-    counts = np.bincount(membership, minlength=n_bins)
-    score_sums = np.bincount(membership, weights=scores, minlength=n_bins)
+    """Per set and bin (``(n_sets, n_bins)`` arrays): the record count and
+    |positive rate - mean score|, 0 for an empty bin, from per-bin sums
+    accumulated in record order. ``bins`` is each record's set times
+    ``n_bins`` plus its bin."""
+    size = n_sets * n_bins
+    counts = np.bincount(bins, minlength=size)
+    score_sums = np.bincount(bins, weights=scores, minlength=size)
     # bincount casts integer weights to float64, so labels need no copy
-    label_sums = np.bincount(membership, weights=labels, minlength=n_bins)
-    occupied = counts > 0
-    counts = counts[occupied]
-    return counts, np.abs(label_sums[occupied] - score_sums[occupied]) / counts
+    label_sums = np.bincount(bins, weights=labels, minlength=size)
+    gaps = np.abs(label_sums - score_sums) / np.maximum(counts, 1)
+    return counts.reshape(n_sets, n_bins), gaps.reshape(n_sets, n_bins)
 
 
 def _binned_gaps(scores, labels, binning: Binning) -> Gaps:
     scores = np.asarray(scores, dtype=np.float64)
     if binning.membership.size != scores.size:
         raise ValueError("binning was built over a different sample set")
-    return _bin_gaps(scores, np.asarray(labels), binning.membership, binning.n_bins)
+    return _bin_gaps(binning.membership, scores, np.asarray(labels), 1, binning.n_bins)
 
 
-def _ece(gaps: Gaps) -> float:
+def _ece(gaps: Gaps) -> np.ndarray:
+    """Every set's count-weighted mean gap over its occupied bins."""
     counts, gap = gaps
-    return float(np.add.reduce(counts * gap) / np.add.reduce(counts))
+    occupied = counts > 0
+    weighted = (counts * gap)[occupied]
+    return _RaggedRows(occupied.sum(axis=1)).sums(weighted) / counts.sum(axis=1)
 
 
-def _mce(gaps: Gaps) -> float:
-    return float(np.maximum.reduce(gaps[1]))
+def _mce(gaps: Gaps) -> np.ndarray:
+    """Every set's largest gap; an empty bin's gap of 0 is never above it."""
+    return gaps[1].max(axis=1)
 
 
 def ece(scores: np.ndarray, labels: np.ndarray, binning: Binning) -> float:
@@ -125,12 +153,12 @@ def ece(scores: np.ndarray, labels: np.ndarray, binning: Binning) -> float:
     Confidence is the mean score within a bin, not the bin midpoint; empty
     bins contribute zero.
     """
-    return _ece(_binned_gaps(scores, labels, binning))
+    return float(_ece(_binned_gaps(scores, labels, binning))[0])
 
 
 def mce(scores: np.ndarray, labels: np.ndarray, binning: Binning) -> float:
     """Maximum calibration error over non-empty bins."""
-    return _mce(_binned_gaps(scores, labels, binning))
+    return float(_mce(_binned_gaps(scores, labels, binning))[0])
 
 
 def ada_ece(

@@ -7,43 +7,64 @@ results never depend on execution order.
 A cell (one run and one group, or one run and one sampling ratio) is a sorted
 array of indices into its run's test records, and its metrics read the
 gathered ``scores[idx]``, ``labels[idx]`` and Platt scores; no ``ScoreSet`` is
-built per cell. Each run's test scores are stable-sorted once. That sort breaks
-ties by record index, and so does the stable sort of a sorted subset, so the
-run's order restricted to a cell is exactly the cell's own stable order. A
-cell's equal-count (AdaECE) bins are gathered from those positions out of the
-bin pattern, without a sort per cell. The same order, scattered from those
-positions, is the cell's sorted view (``discrimination._Ranked``): its tie
-blocks and running count of positives give the ROC and PR areas and balanced
-accuracy, with the counts as exact integers and the rank sums in record order.
-The records themselves are never reordered: subsample seeds draw record
-indices (a subsample of every record takes no draw), and each cell's
-bin sums accumulate in record-index order, because floating-point sums in
-another order could differ in the last digit and outputs are byte-identical to
-evaluating the cell as a set of its own. The synthetic runs are ``ScoreSet``
-splits built without sample ids or group tags; no sweep reads either, so
-neither is rendered as strings.
+built per cell. Cells are queued as they are drawn and evaluated in batches
+(``_Batch``): the queue is evaluated whenever its cells hold at least
+``_BATCH_RECORDS`` records, and once more at the end, so each numpy call is
+paid once per batch rather than once per cell. A batch lays its cells'
+records out cell after cell, each gathered once from every per-run table it
+needs; a run's tables are built on first use, and dropped once gathered by a
+batch after which the run has no more cells. Each cell's metric notes go
+where the cell was queued, so the notes read as if each cell had been
+evaluated when it was drawn.
+
+Each run's test scores are stable-sorted once. That sort breaks ties by
+record index, and so does the stable sort of a sorted subset, so the run's
+order restricted to a cell is exactly the cell's own stable order: a record's
+position in its cell is the number of the cell's records before it in the
+run's order, read for the whole batch off one running count over each cell's
+span of run positions. A cell's equal-count (AdaECE) bins are gathered from
+those positions out of the bin pattern, without a sort per cell. The same
+order, scattered from those positions, gives the batch's sorted view
+(``discrimination._Ranked``): its tie blocks and running count of positives
+give every cell's ROC and PR areas and balanced accuracy. The records
+themselves are never reordered: subsample seeds draw record indices (a
+subsample of every record takes no draw), and each bin sum accumulates in
+record-index order. The synthetic runs are ``ScoreSet`` splits built without
+sample ids or group tags; no sweep reads either, so neither is rendered as
+strings.
 
 The proper scoring rules come from per-run loss tables: each record's
 ``y*log(s) + (1-y)*log(1-s)`` on clipped scores and its ``(s - y)**2``, raw
 and Platt, each built once per run and only when a requested metric reads it.
-A cell's cross-entropy or Brier score is the mean of its gathered entries.
-That keeps the bytes: every entry is the value the estimator computes for
-that record on the cell's own arrays, and the gather lists them in the same
-record order, so the sum adds the same numbers in the same order. No
-reduction is batched across cells: a segmented sum (``np.add.reduceat``)
-adds sequentially, not pairwise as ``np.add.reduce`` does, and padding cells
-into rows changes the pairwise blocks, so either could change the last digit.
+A cell's cross-entropy or Brier score is the mean of its gathered entries:
+every entry is the value the estimator computes for that record on the
+cell's own arrays, in the same record order.
+
+Every value keeps the bits of evaluating the cell as a set of its own,
+because a floating-point sum in another order or in other blocks could differ
+in the last digit and the outputs are byte-identical. So a batch sums only in
+ways that keep them: every bin sum of every cell comes from one
+``np.bincount`` with each cell's bins offset by ``n_bins``, which adds each
+bin's records in record order, as the call on the cell alone does; each
+order-dependent reduction (a cell's mean of a table, the ECE over its
+occupied bins, the PR area over its tie blocks) is taken along the last axis
+of a C-contiguous block of the cells with as many terms
+(``stats._RaggedRows``), and numpy computes each row of such a block exactly
+as the 1-D call on that row; and the remaining sums are exact in any order:
+twice the ROC mid-rank sums and the label counts are integers, and the MCE is
+a maximum. A segmented sum (``np.add.reduceat``) adds sequentially, not
+pairwise as ``np.add.reduce`` does, and padding cells into rows of one
+length changes the pairwise blocks, so neither is used for an inexact sum.
 
 Once every run is evaluated, the values form one float64 table indexed by
 metric, series and run, and every summary and paired test comes from a few
 row-wise array calls over it (``stats._summaries`` and
 ``stats._signed_rank_tests``), one per group of rows with the same number of
-values. That batches whole series, not cells, and keeps the bits of a call on
-each series alone: the rows of a group are compressed, in order and without
-padding, into a C-contiguous block, and numpy computes each row of a
-last-axis quantile or mean of such a block exactly as it does for the row
-alone; the signed-rank sums add half-integers and the exact p-values add
-integer counts, which float64 holds exactly in any order.
+values. They keep the bits of a call on each series alone by the same rule:
+the rows of a group are compressed, in order and without padding, into a
+C-contiguous block, whose last-axis quantile or mean numpy computes per row
+exactly as for the row alone; the signed-rank sums add half-integers and the
+exact p-values add integer counts, which float64 holds exactly in any order.
 """
 
 from __future__ import annotations
@@ -78,9 +99,11 @@ from .platt import apply_platt, decompose_psr, fit_platt, to_llr  # noqa: F401
 # harness attributes by name, so the names stay bound
 from .stats import (  # noqa: F401
     InsufficientPairsError,
+    _RaggedRows,
     _signed_rank_tests,
     _stable_order,
     _summaries,
+    _undefined,
     summarize,
     wilcoxon_signed_rank,
 )
@@ -101,6 +124,14 @@ SERIES_MATCHED = "majority_matched"
 ARM_NAIVE = "naive"
 ARM_SIZE_MATCHED = "size_matched"
 ARM_SIZE_EFFECT = "size_effect"
+
+# the fewest records of queued cells that are evaluated as one batch (see the
+# module docstring): a C4-shaped audit, 25 runs of about 1,100 cell records,
+# is two batches, and a 20k-record sweep run's ratios from 0.1 to 1 are five
+# batches of one to four cells. Twice this makes a C4 audit one batch, but a
+# batch's arrays grow with it: a small_group_audits pass then peaked 1.3 MB
+# higher, a synthetic sweep run in turn 1.8 MB higher, and the sweep ran slower
+_BATCH_RECORDS = 2**14
 
 # derived-seed stream tags, so no two sampling contexts share a seed key
 _STREAM_MATCH = 2
@@ -278,7 +309,7 @@ def _csv_value(value: float) -> str:
 class _lazy:
     """A method read as an attribute and computed on first read, like
     ``functools.cached_property`` but without the lock that Python 3.11 takes
-    on every first read; a ``_Records`` or ``_Cell`` is private to one call."""
+    on every first read; a ``_Records`` or ``_Batch`` is private to one call."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -291,12 +322,13 @@ class _lazy:
         return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Records:
-    """A run's test records as arrays, with what every cell over them shares.
+    """A run's test records as arrays, with per-record tables that every cell
+    over them reads, each built on first use.
 
     ``platt_scores`` are the records' recalibrated scores, or ``None`` when the
-    run has no calibrator.
+    run has no calibrator; then its Platt tables are never read.
     """
 
     scores: np.ndarray
@@ -309,7 +341,15 @@ class _Records:
         """Every record's equal-width bin; a record's bin does not depend on its cell."""
         return calibration._equal_width_bins(self.scores, self.cfg.n_bins)
 
-    # per-record loss tables (see the module docstring), each built on first use
+    @_lazy
+    def rank(self) -> np.ndarray:
+        """Every record's position in the stable sort of all the scores."""
+        order = _stable_order(self.scores)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return rank
+
+    # per-record loss tables (see the module docstring)
     @_lazy
     def log_likelihood(self) -> np.ndarray:
         return calibration._log_likelihoods(self.scores, self.labels, self.cfg.clip_epsilon)
@@ -321,130 +361,182 @@ class _Records:
     @_lazy
     def platt_log_likelihood(self) -> np.ndarray:
         return calibration._log_likelihoods(
-            self._platt_scores(), self.labels, self.cfg.clip_epsilon
+            self.platt_scores, self.labels, self.cfg.clip_epsilon
         )
 
     @_lazy
     def platt_squared_error(self) -> np.ndarray:
-        return calibration._squared_errors(self._platt_scores(), self.labels)
+        return calibration._squared_errors(self.platt_scores, self.labels)
 
-    def _platt_scores(self) -> np.ndarray:
-        if self.platt_scores is None:
-            raise ValueError("delta metrics require Platt-transformed scores")
-        return self.platt_scores
-
-    @_lazy
-    def rank(self) -> np.ndarray:
-        """Every record's position in the stable sort of all the scores."""
-        order = _stable_order(self.scores)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        return rank
-
-    def positions(self, idx: np.ndarray) -> np.ndarray:
-        """Positions of the records at sorted ``idx`` in the stable sort of their
-        own scores, that is, the inverse of ``argsort(scores[idx], kind="stable")``.
-
-        The run's stable sort orders ties by record index, and so does the
-        stable sort of a sorted subset, so a record's position in its cell is
-        the number of the cell's records that precede it in the run's order.
-        """
-        rank = self.rank[idx]
-        inside = np.zeros(self.scores.size, dtype=bool)
-        inside[rank] = True
-        return inside.cumsum()[rank] - 1
+    def drop(self, table: str) -> None:
+        """Forget a built table (not ``scores`` or ``labels``), to be built
+        again if it is read again."""
+        if isinstance(type(self).__dict__.get(table), _lazy):
+            self.__dict__.pop(table, None)
 
 
-class _Cell:
-    """One evaluated subset: the records at sorted indices ``idx``, with the
-    arrays, sorted view, bin gaps and scores its metrics share, each computed
-    when a metric first reads it."""
+class _Batch:
+    """Cells evaluated together: each cell is the records at sorted indices
+    ``idx`` of one run, ``(records, idx)``, and the batch lists the cells'
+    records cell after cell. What the metrics share is computed over the
+    whole batch when a metric first reads it."""
 
-    def __init__(self, records: _Records, idx: np.ndarray) -> None:
-        self.records = records
-        self.cfg = records.cfg
-        self.idx = idx
-        self.n = idx.size
+    def __init__(self, cells: Sequence[tuple[_Records, np.ndarray]]) -> None:
+        self.cfg = cells[0][0].cfg
+        self.sizes = np.array([idx.size for _, idx in cells])
+        self.run_sizes = np.array([records.scores.size for records, _ in cells])
+        self.has_platt = np.array([records.platt_scores is not None for records, _ in cells])
+        # consecutive cells of one run share one gather of each run table
+        runs: list[tuple[_Records, list[np.ndarray]]] = []
+        for records, idx in cells:
+            if runs and runs[-1][0] is records:
+                runs[-1][1].append(idx)
+            else:
+                runs.append((records, [idx]))
+        self.runs = [(records, np.concatenate(parts)) for records, parts in runs]
+
+    def gather(self, table: str) -> np.ndarray:
+        """A run attribute of ``_Records`` at the batch's records. Only the
+        last run's cells can go on in a later batch, so the other runs drop a
+        table once it is gathered. A run without Platt scores has no Platt
+        table: its cells read zeros there, and their delta metrics are
+        undefined."""
+        out = None
+        at = 0
+        for records, idx in self.runs:
+            if table.startswith("platt_") and records.platt_scores is None:
+                values = np.zeros(records.scores.size)
+            else:
+                values = getattr(records, table)
+                if records is not self.runs[-1][0]:
+                    records.drop(table)
+            if out is None:
+                out = np.empty(self.sizes.sum(), dtype=values.dtype)
+            # the indices are in range: "clip" writes straight into out, where
+            # "raise" would gather into a buffer first
+            values.take(idx, out=out[at : at + idx.size], mode="clip")
+            at += idx.size
+        return out
 
     @_lazy
     def scores(self) -> np.ndarray:
-        return self.records.scores[self.idx]
+        return self.gather("scores")
 
     @_lazy
     def labels(self) -> np.ndarray:
-        return self.records.labels[self.idx]
+        return self.gather("labels")
 
     @_lazy
-    def positions(self) -> np.ndarray:
-        return self.records.positions(self.idx)
+    def position(self) -> np.ndarray:
+        """Every record's position in the batch with each cell in its own
+        stable order (see the module docstring): the number of the batch's
+        records before it when the cells follow one another, each in its
+        run's order."""
+        span = self.run_sizes.cumsum() - self.run_sizes
+        key = self.gather("rank")
+        key += span.repeat(self.sizes)
+        inside = np.zeros(span[-1] + self.run_sizes[-1], dtype=bool)
+        inside[key] = True
+        position = inside.cumsum()[key]
+        position -= 1
+        return position
 
     @_lazy
     def ranked(self) -> discrimination._Ranked:
-        """The cell's stable order is the inverse of its positions: no sort."""
-        order = np.empty(self.n, dtype=np.intp)
-        order[self.positions] = np.arange(self.n)
-        return discrimination._Ranked(self.scores, self.labels, order)
+        """The cells' sorted views, from their positions: no sort."""
+        order = np.empty_like(self.position)
+        order[self.position] = np.arange(order.size)
+        return discrimination._Ranked(self.scores[order], self.labels[order], self.sizes)
 
     @_lazy
-    def pr_auc(self) -> float:
+    def pr_auc(self) -> tuple[np.ndarray, dict[int, str]]:
         return discrimination._pr_auc(self.ranked)
+
+    def _gaps(self, bins: np.ndarray) -> calibration.Gaps:
+        return calibration._bin_gaps(
+            bins, self.scores, self.labels, self.sizes.size, self.cfg.n_bins
+        )
 
     @_lazy
     def equal_width(self) -> calibration.Gaps:
-        membership = self.records.equal_width[self.idx]
-        return calibration._bin_gaps(self.scores, self.labels, membership, self.cfg.n_bins)
-
-    @_lazy
-    def equal_count(self) -> calibration.Gaps:
         n_bins = self.cfg.n_bins
-        membership = calibration._equal_count_bins(self.positions, n_bins)
-        return calibration._bin_gaps(self.scores, self.labels, membership, n_bins)
-
-    def _mean(self, table: np.ndarray) -> float:
-        """Mean of a per-record table of the run over the cell's records:
-        ``np.mean`` is this sum and division, without its wrapper."""
-        return float(np.add.reduce(table[self.idx]) / self.n)
+        bins = self.gather("equal_width")
+        bins += np.arange(0, self.sizes.size * n_bins, n_bins).repeat(self.sizes)
+        return self._gaps(bins)
 
     @_lazy
-    def cross_entropy(self) -> float:
-        return -self._mean(self.records.log_likelihood)
+    def ada_ece(self) -> tuple[np.ndarray, dict[int, str]]:
+        n_bins = self.cfg.n_bins
+        bins = calibration._equal_count_bins(self.position, self.sizes, n_bins)
+        return (
+            calibration._ece(self._gaps(bins)),
+            calibration._too_few_for_equal_count(self.sizes, n_bins),
+        )
 
     @_lazy
-    def brier(self) -> float:
-        return self._mean(self.records.squared_error)
+    def cell_rows(self) -> _RaggedRows:
+        return _RaggedRows(self.sizes)
 
-    @property
-    def platt_cross_entropy(self) -> float:
-        return -self._mean(self.records.platt_log_likelihood)
+    def mean(self, table: str) -> np.ndarray:
+        """Each cell's mean of a per-record table of its run: the sum, row-wise
+        on cells of equal size, and the division of ``np.mean``."""
+        return self.cell_rows.sums(self.gather(table)) / self.sizes
 
-    @property
-    def platt_brier(self) -> float:
-        return self._mean(self.records.platt_squared_error)
+    @_lazy
+    def cross_entropy(self) -> np.ndarray:
+        return -self.mean("log_likelihood")
+
+    @_lazy
+    def brier(self) -> np.ndarray:
+        return self.mean("squared_error")
+
+    def delta(self, raw: np.ndarray, platt: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+        """A calibration part, as decompose_psr defines it: raw minus Platt."""
+        return raw - platt, _undefined(
+            ~self.has_platt, "delta metrics require Platt-transformed scores"
+        )
 
 
-# metric name -> value on a cell; each entry picks what its estimator needs
-# from the cell, so the sorted view, binnings, the PR area and the proper
-# scoring rules are computed once per cell and shared by the metrics that read
-# them. The scoring rules are means over the run's per-record tables gathered
-# at the cell's indices: the same element-wise values as the estimators
-# compute on the gathered scores, summed in the same record order, so the
-# same bytes.
+# metric name -> (values, errors) of a batch; each entry picks what its
+# estimator needs from the batch, so the sorted views, binnings, the PR area
+# and the proper scoring rules are computed once per batch and shared by the
+# metrics that read them. The scoring rules are means over the runs'
+# per-record tables gathered at the cells' records: the same element-wise
+# values as the estimators compute on a cell's own arrays, summed in the
+# same record order, so the same bytes.
 _METRICS = {
-    "auc_roc": lambda c: discrimination._roc_auc(c.ranked, c.labels),
-    "auc_pr": lambda c: c.pr_auc,
-    "auc_prg": lambda c: discrimination._normalized_ap(c.pr_auc, c.ranked),
-    "balanced_accuracy": lambda c: discrimination._balanced_accuracy(
-        c.ranked, c.cfg.threshold
+    "auc_roc": lambda b: discrimination._roc_auc(b.ranked),
+    "auc_pr": lambda b: b.pr_auc,
+    "auc_prg": lambda b: discrimination._normalized_ap(b.pr_auc, b.ranked),
+    "balanced_accuracy": lambda b: discrimination._balanced_accuracy(
+        b.ranked, b.cfg.threshold
     ),
-    "ece": lambda c: calibration._ece(c.equal_width),
-    "mce": lambda c: calibration._mce(c.equal_width),
-    "ada_ece": lambda c: calibration._ece(c.equal_count),
-    "cross_entropy": lambda c: c.cross_entropy,
-    "brier": lambda c: c.brier,
-    # the calibration parts, as decompose_psr defines them: raw minus Platt
-    "delta_ce": lambda c: c.cross_entropy - c.platt_cross_entropy,
-    "delta_brier": lambda c: c.brier - c.platt_brier,
+    "ece": lambda b: (calibration._ece(b.equal_width), {}),
+    "mce": lambda b: (calibration._mce(b.equal_width), {}),
+    "ada_ece": lambda b: b.ada_ece,
+    "cross_entropy": lambda b: (b.cross_entropy, {}),
+    "brier": lambda b: (b.brier, {}),
+    "delta_ce": lambda b: b.delta(b.cross_entropy, -b.mean("platt_log_likelihood")),
+    "delta_brier": lambda b: b.delta(b.brier, b.mean("platt_squared_error")),
 }
+
+
+def _cell_values(
+    names: Sequence[str], cells: Sequence[tuple[_Records, np.ndarray]]
+) -> tuple[np.ndarray, dict[int, dict[str, str]]]:
+    """Every metric of ``names`` on every cell ``(records, idx)`` of one
+    config: a cells x metrics array, NaN where a metric is undefined, and
+    under each such cell's number, the reasons by metric, in ``names`` order."""
+    batch = _Batch(cells)
+    values = np.empty((len(cells), len(names)))
+    errors: dict[int, dict[str, str]] = {}
+    for k, name in enumerate(names):
+        values[:, k], undefined = _METRICS[name](batch)
+        if undefined:
+            values[list(undefined), k] = math.nan
+            for c, why in undefined.items():
+                errors.setdefault(c, {})[name] = why
+    return values, errors
 
 
 def _metric_values(
@@ -452,16 +544,8 @@ def _metric_values(
 ) -> tuple[dict[str, float], dict[str, str]]:
     """Compute each metric independently on the records at sorted ``idx``;
     undefined ones come back as NaN, with the reason under their name."""
-    cell = _Cell(records, idx)
-    values: dict[str, float] = {}
-    errors: dict[str, str] = {}
-    for name in names:
-        try:
-            values[name] = float(_METRICS[name](cell))
-        except ValueError as exc:
-            values[name] = math.nan
-            errors[name] = str(exc)
-    return values, errors
+    values, errors = _cell_values(names, [(records, idx)])
+    return dict(zip(names, values[0].tolist())), errors.get(0, {})
 
 
 def _metric_block(records: _Records, idx: np.ndarray) -> dict:
@@ -564,7 +648,10 @@ def _evaluate(
     sorted test-record indices, or ``None`` for a cell that could not be drawn,
     whose note the source has written. A cell that is ``None`` or empty (noted
     as absent) has every metric missing; a metric undefined on a cell is
-    missing alone, noted as ``run <i> <label> <metric>: <reason>``.
+    missing alone, noted as ``run <i> <label> <metric>: <reason>``. Cells are
+    queued and evaluated in batches (see the module docstring); each cell's
+    notes go where the cell was queued, so the notes read as if every cell
+    were evaluated at once.
 
     The values then form one table indexed by metric, series and run. Every
     (metric, series) row is summarized, and each arm, a pair of series, gets
@@ -573,10 +660,28 @@ def _evaluate(
     ``stats``, which give each row the bits of a call on that row alone.
     """
     slot = {s: k for k, s in enumerate(series)}
-    per_run: list[np.ndarray] = []  # each run's metric x series values
     run_ids: list[int] = []
     platt: list[dict] = []
     notes: list[str] = []
+    queue: list[tuple[_Records, np.ndarray]] = []
+    # per queued cell: its series, its run's position and index, and the
+    # length of the notes when it was queued, where its metric notes go
+    queued: list[tuple[object, int, int, int]] = []
+    evaluated: list[tuple[int, int]] = []  # (series slot, run position) of each cell
+    blocks: list[np.ndarray] = []  # each batch's cells x metrics values
+    queued_records = 0
+
+    def evaluate_queue() -> None:
+        values, errors = _cell_values(cfg.metrics, queue)
+        blocks.append(values)
+        # last first, so that the positions of earlier cells still hold
+        for c in sorted(errors, reverse=True):
+            s, _, i, at = queued[c]
+            notes[at:at] = [f"run {i} {label(s)} {m}: {why}" for m, why in errors[c].items()]
+        evaluated.extend((slot[s], r) for s, r, _, _ in queued)
+        queue.clear()
+        queued.clear()
+
     for run in runs:
         i = run.run_index
         if i in run_ids:
@@ -584,19 +689,25 @@ def _evaluate(
         run_ids.append(i)
         diag, records = _fit_run_calibrator(run, cfg, notes)
         platt.append(diag)
-        run_values = np.full((len(cfg.metrics), len(series)), math.nan)
         for s, idx in cells(run, notes):
             if idx is None or idx.size == 0:
                 if idx is not None:
                     notes.append(f"run {i}: {label(s)} absent from test set")
             else:
-                cell, errors = _metric_values(cfg.metrics, records, idx)
-                notes.extend(f"run {i} {label(s)} {m}: {why}" for m, why in errors.items())
-                run_values[:, slot[s]] = [cell[m] for m in cfg.metrics]
-        per_run.append(run_values)
+                queue.append((records, idx))
+                queued.append((s, len(run_ids) - 1, i, len(notes)))
+                queued_records += idx.size
+                if queued_records >= _BATCH_RECORDS:
+                    evaluate_queue()
+                    queued_records = 0
+    if queue:
+        evaluate_queue()
     if not run_ids:
         raise ValueError("no runs supplied")
-    table = np.stack(per_run, axis=-1)  # metric x series x run
+    table = np.full((len(cfg.metrics), len(series), len(run_ids)), math.nan)
+    if evaluated:
+        at = np.array(evaluated).T
+        table[:, at[0], at[1]] = np.concatenate(blocks).T
     first, second = (table[:, [slot[pair[k]] for pair in arms.values()]] for k in (0, 1))
     paired = np.isfinite(first) & np.isfinite(second)
     diffs = np.full(first.shape, math.nan)

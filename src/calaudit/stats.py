@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -60,11 +60,83 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
     return np.sort(block + order) - block
 
 
-def _tie_bounds(sorted_values: np.ndarray) -> np.ndarray:
-    """Bounds of the runs of equal values in an ascending array: run ``k``
-    spans positions ``bounds[k]`` up to ``bounds[k + 1]``."""
-    change = (sorted_values[1:] != sorted_values[:-1]).nonzero()[0] + 1
-    return np.concatenate(([0], change, [sorted_values.size]))
+def _tie_bounds(sorted_values: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+    """Bounds of the runs of equal values in an ascending array, or in one
+    whose segments ascend, each from one of ``starts`` to the next: run ``k``
+    spans positions ``bounds[k]`` up to ``bounds[k + 1]``, and no run crosses
+    the start of a segment."""
+    edge = np.ones(sorted_values.size + 1, dtype=bool)
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=edge[1:-1])
+    if starts is not None:
+        edge[starts] = True
+    return np.flatnonzero(edge)
+
+
+class _RaggedRows:
+    """The segments of a flat array, cut in order at ``lengths``, grouped by
+    length, so that each group is one C-contiguous ``(segments, length)``
+    block of values, one segment per row, in order.
+
+    A last-axis reduction (``np.add.reduce``, ``mean``, ``quantile``) of such
+    a block computes each row exactly as the 1-D call on that segment alone:
+    every row is one contiguous inner loop of the same length, with no
+    padding, so a pairwise sum sees the same values in the same blocks. That
+    is how every reduction whose result depends on the order of its terms is
+    batched. Segments that lie next to one another are a view of the values,
+    the others a gathered copy.
+    """
+
+    def __init__(self, lengths: np.ndarray) -> None:
+        self.size = len(lengths)
+        groups: dict[int, list[int]] = {}
+        starts = []
+        at = 0
+        for k, n in enumerate(lengths.tolist()):
+            starts.append(at)
+            at += n
+            if n:
+                groups.setdefault(n, []).append(k)
+        # (segment numbers, length, where their values lie)
+        self.groups: list[tuple[list[int], int, slice | np.ndarray]] = []
+        for n, which in groups.items():
+            first, last = starts[which[0]], starts[which[-1]]
+            # each segment ends where the next of its length starts at the
+            # earliest, so they lie next to one another exactly when the
+            # last starts (count - 1) * length after the first
+            if last - first == (len(which) - 1) * n:
+                where: slice | np.ndarray = slice(first, last + n)
+            else:
+                where = np.array([starts[k] for k in which])[:, None] + np.arange(n)
+            self.groups.append((which, n, where))
+
+    def blocks(self, values: np.ndarray) -> Iterator[tuple[list[int], np.ndarray]]:
+        """Each group's segment numbers and its block of ``values``."""
+        values = np.ascontiguousarray(values)
+        for which, n, where in self.groups:
+            yield which, values[where].reshape(len(which), n)
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """``np.add.reduce`` of every segment of ``values``, with the bits of
+        the call on that segment alone; 0.0 for an empty segment."""
+        sums = np.zeros(self.size)
+        for which, block in self.blocks(values):
+            sums[which] = np.add.reduce(block, axis=-1)
+        return sums
+
+
+def _undefined(where: np.ndarray, reason: str) -> dict[int, str]:
+    """``reason`` under the number of every set where ``where`` is true: the
+    errors of a batch kernel, which returns ``(values, errors)``."""
+    return dict.fromkeys(np.flatnonzero(where).tolist(), reason)
+
+
+def _one(result: tuple[np.ndarray, dict[int, str]]) -> float:
+    """The value of a batch kernel's ``(values, errors)`` for one set, or the
+    ``ValueError`` that says why it is undefined."""
+    values, errors = result
+    if errors:
+        raise ValueError(errors[0])
+    return float(values[0])
 
 
 def _block_midranks(bounds: np.ndarray) -> np.ndarray:
@@ -210,24 +282,21 @@ def _summaries(rows: np.ndarray, quantile_rule: str) -> list[BoxplotSummary | No
     """The summary of the values of every row of ``rows``, NaN entries left
     out, or ``None`` for a row of NaNs only.
 
-    Rows with the same number of values are summarized together: their values
-    are compressed in order into one C-contiguous block, and numpy computes
-    each row of a last-axis ``quantile`` or ``mean`` of that block exactly as
-    it does for the row alone, so every row gets the bits of its own summary.
+    Rows with the same number of values are summarized together, in one
+    block of :class:`_RaggedRows`, so every row gets the bits of its own
+    summary.
     """
     if np.isinf(rows).any():
         raise ValueError("summarize needs finite values")
     present = ~np.isnan(rows)
-    counts = present.sum(axis=1)
     out: list = [None] * len(rows)
-    for n in np.unique(counts[counts > 0]).tolist():
-        which = np.flatnonzero(counts == n)
-        block = rows[which][present[which]].reshape(which.size, n)
+    for which, block in _RaggedRows(present.sum(axis=1)).blocks(rows[present]):
+        n = block.shape[1]
         quartiles = np.quantile(block, [0.25, 0.5, 0.75], axis=-1, method=quantile_rule)
         q1, med, q3 = quartiles.tolist()
         iqr = (quartiles[2] - quartiles[0]).tolist()
         mean = block.mean(axis=-1).tolist()
-        for k, row in enumerate(which.tolist()):
+        for k, row in enumerate(which):
             out[row] = BoxplotSummary(
                 mean=mean[k], median=med[k], q1=q1[k], q3=q3[k], iqr=iqr[k], n=n
             )

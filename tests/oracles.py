@@ -4,8 +4,9 @@ Everything here is deliberately slow and literal: pairwise loops, explicit
 threshold sweeps, boundary scans, full sign-pattern enumeration, adaptive
 quadrature. None of it shares code with the package under test, except that
 the score-CSV parser builds the package's ``ScoreSet`` and raises its
-``ScoreSetFormatError``, and the one-row statistics return the package's
-result records and raise its ``InsufficientPairsError``.
+``ScoreSetFormatError``, the one-row statistics return the package's result
+records and raise its ``InsufficientPairsError``, and the per-cell evaluation
+at the end reads the package's per-record tables and stable sort.
 """
 
 from __future__ import annotations
@@ -13,14 +14,20 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import asdict
-from typing import IO
+from dataclasses import asdict, dataclass
+from typing import IO, Sequence
 
 import numpy as np
 from scipy import integrate, special
 
+from calaudit.calibration import _equal_width_bins, _log_likelihoods, _squared_errors
 from calaudit.dataset import UNKNOWN_GROUP, ScoreSet, ScoreSetFormatError
-from calaudit.stats import BoxplotSummary, InsufficientPairsError, PairedTestResult
+from calaudit.stats import (
+    BoxplotSummary,
+    InsufficientPairsError,
+    PairedTestResult,
+    _stable_order,
+)
 
 
 def roc_auc_pairwise(scores, labels) -> float:
@@ -487,3 +494,324 @@ def sweep_result_to_dict(self) -> dict:
         "tests": {m: _record(t) for m, t in self.tests.items()},
         "provenance": self.provenance,
     }
+
+
+# The per-cell evaluation that the batch kernels replaced, kept as it was:
+# every cell of an audit or sweep went through ``_metric_values`` on its own,
+# with its own sort order read from the run's, its own bin sums and its own
+# reductions. ``harness._cell_values`` must give each cell these values,
+# bit for bit, and these error texts. The per-record tables, equal-width bins
+# and stable sort it reads are the package's, which that change left as they
+# were.
+
+def _tie_bounds(sorted_values: np.ndarray) -> np.ndarray:
+    """Bounds of the runs of equal values in an ascending array: run ``k``
+    spans positions ``bounds[k]`` up to ``bounds[k + 1]``."""
+    change = (sorted_values[1:] != sorted_values[:-1]).nonzero()[0] + 1
+    return np.concatenate(([0], change, [sorted_values.size]))
+
+
+def _block_midranks(bounds: np.ndarray) -> np.ndarray:
+    """1-based average ranks of the positions of an ascending array, from its
+    tie bounds: tied values share the mean of their positions."""
+    starts, ends = bounds[:-1], bounds[1:]
+    return ((starts + ends - 1) / 2.0 + 1.0).repeat(ends - starts)
+
+
+def _equal_count_bins(positions: np.ndarray, n_bins: int) -> np.ndarray:
+    """Equal-count bin index of every record, from its position in the stable
+    sort of its set: ``np.array_split`` runs of those positions, larger first,
+    gathered from the bin index of every position."""
+    n = positions.size
+    if n < n_bins:
+        raise ValueError(
+            f"equal_count binning needs at least n_bins={n_bins} samples, got {n}"
+        )
+    base, extras = divmod(n, n_bins)
+    # the first `extras` bins hold base + 1 positions each, the rest base
+    sizes = np.full(n_bins, base)
+    sizes[:extras] += 1
+    return np.repeat(np.arange(n_bins), sizes)[positions]
+
+
+Gaps = tuple[np.ndarray, np.ndarray]
+
+
+def _bin_gaps(
+    scores: np.ndarray, labels: np.ndarray, membership: np.ndarray, n_bins: int
+) -> Gaps:
+    """Counts and |positive rate - mean score| of the non-empty bins, from
+    per-bin sums accumulated in record order."""
+    counts = np.bincount(membership, minlength=n_bins)
+    score_sums = np.bincount(membership, weights=scores, minlength=n_bins)
+    # bincount casts integer weights to float64, so labels need no copy
+    label_sums = np.bincount(membership, weights=labels, minlength=n_bins)
+    occupied = counts > 0
+    counts = counts[occupied]
+    return counts, np.abs(label_sums[occupied] - score_sums[occupied]) / counts
+
+
+def _ece(gaps: Gaps) -> float:
+    counts, gap = gaps
+    return float(np.add.reduce(counts * gap) / np.add.reduce(counts))
+
+
+def _mce(gaps: Gaps) -> float:
+    return float(np.maximum.reduce(gaps[1]))
+
+
+class _Ranked:
+    """A set's records in the stable ascending order of their scores.
+
+    ``order`` is that order, ``scores`` the sorted scores, ``bounds`` their
+    tie blocks (see ``stats._tie_bounds``) and ``positives[k]`` the number of
+    positive labels among the first ``k`` sorted records, so label counts are
+    exact integers.
+    """
+
+    __slots__ = ("order", "scores", "bounds", "positives", "n", "n_pos")
+
+    def __init__(self, scores: np.ndarray, labels: np.ndarray, order: np.ndarray) -> None:
+        self.order = order
+        self.scores = scores[order]
+        self.bounds = _tie_bounds(self.scores)
+        self.positives = np.concatenate(([0], labels[order].cumsum()))
+        self.n = int(order.size)
+        self.n_pos = int(self.positives[-1])
+
+    def class_counts(self, op: str) -> tuple[int, int]:
+        n_neg = self.n - self.n_pos
+        if self.n_pos == 0 or n_neg == 0:
+            raise ValueError(f"{op} needs both label classes present")
+        return self.n_pos, n_neg
+
+
+def _roc_auc(ranked: _Ranked, labels: np.ndarray) -> float:
+    n_pos, n_neg = ranked.class_counts("roc_auc")
+    ranks = np.empty(ranked.n, dtype=np.float64)
+    ranks[ranked.order] = _block_midranks(ranked.bounds)
+    # the positives' ranks are summed in record order
+    u = np.add.reduce(ranks[labels == 1]) - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def _pr_auc(ranked: _Ranked) -> float:
+    n_pos = ranked.n_pos
+    if n_pos == 0:
+        raise ValueError("pr_auc needs at least one positive label")
+    # one point per tie block, highest scores first: the block and every
+    # record above it count as predicted positive
+    starts = ranked.bounds[-2::-1]
+    tp = n_pos - ranked.positives[starts]
+    precision = tp / (ranked.n - starts)
+    recall = tp / n_pos
+    gain = np.empty_like(recall)
+    gain[0] = recall[0]
+    np.subtract(recall[1:], recall[:-1], out=gain[1:])
+    return float(np.add.reduce(gain * precision))
+
+
+def _normalized_ap(ap: float, ranked: _Ranked) -> float:
+    """``(ap - pi) / (1 - pi)`` from the ``pr_auc`` value ``ap`` of the ranked
+    set, for a caller that already has ``ap``."""
+    if ranked.n_pos == ranked.n:
+        raise ValueError("pr_auc_gain is undefined when every label is positive")
+    pi = ranked.n_pos / ranked.n
+    return float((ap - pi) / (1.0 - pi))
+
+
+def _balanced_accuracy(ranked: _Ranked, threshold: float) -> float:
+    n_pos, n_neg = ranked.class_counts("balanced_accuracy")
+    # the records below the threshold are a prefix of the sorted order
+    below = int(ranked.scores.searchsorted(threshold))
+    below_pos = int(ranked.positives[below])
+    return 0.5 * ((n_pos - below_pos) / n_pos + (below - below_pos) / n_neg)
+
+
+class _lazy:
+    """A method read as an attribute and computed on first read, like
+    ``functools.cached_property`` but without the lock that Python 3.11 takes
+    on every first read; a ``_Records`` or ``_Cell`` is private to one call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+@dataclass(frozen=True)
+class _Records:
+    """A run's test records as arrays, with what every cell over them shares.
+
+    ``platt_scores`` are the records' recalibrated scores, or ``None`` when the
+    run has no calibrator.
+    """
+
+    scores: np.ndarray
+    labels: np.ndarray
+    platt_scores: np.ndarray | None
+    cfg: object
+
+    @_lazy
+    def equal_width(self) -> np.ndarray:
+        """Every record's equal-width bin; a record's bin does not depend on its cell."""
+        return _equal_width_bins(self.scores, self.cfg.n_bins)
+
+    # per-record loss tables (see the module docstring), each built on first use
+    @_lazy
+    def log_likelihood(self) -> np.ndarray:
+        return _log_likelihoods(self.scores, self.labels, self.cfg.clip_epsilon)
+
+    @_lazy
+    def squared_error(self) -> np.ndarray:
+        return _squared_errors(self.scores, self.labels)
+
+    @_lazy
+    def platt_log_likelihood(self) -> np.ndarray:
+        return _log_likelihoods(
+            self._platt_scores(), self.labels, self.cfg.clip_epsilon
+        )
+
+    @_lazy
+    def platt_squared_error(self) -> np.ndarray:
+        return _squared_errors(self._platt_scores(), self.labels)
+
+    def _platt_scores(self) -> np.ndarray:
+        if self.platt_scores is None:
+            raise ValueError("delta metrics require Platt-transformed scores")
+        return self.platt_scores
+
+    @_lazy
+    def rank(self) -> np.ndarray:
+        """Every record's position in the stable sort of all the scores."""
+        order = _stable_order(self.scores)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return rank
+
+    def positions(self, idx: np.ndarray) -> np.ndarray:
+        """Positions of the records at sorted ``idx`` in the stable sort of their
+        own scores, that is, the inverse of ``argsort(scores[idx], kind="stable")``.
+
+        The run's stable sort orders ties by record index, and so does the
+        stable sort of a sorted subset, so a record's position in its cell is
+        the number of the cell's records that precede it in the run's order.
+        """
+        rank = self.rank[idx]
+        inside = np.zeros(self.scores.size, dtype=bool)
+        inside[rank] = True
+        return inside.cumsum()[rank] - 1
+
+
+class _Cell:
+    """One evaluated subset: the records at sorted indices ``idx``, with the
+    arrays, sorted view, bin gaps and scores its metrics share, each computed
+    when a metric first reads it."""
+
+    def __init__(self, records: _Records, idx: np.ndarray) -> None:
+        self.records = records
+        self.cfg = records.cfg
+        self.idx = idx
+        self.n = idx.size
+
+    @_lazy
+    def scores(self) -> np.ndarray:
+        return self.records.scores[self.idx]
+
+    @_lazy
+    def labels(self) -> np.ndarray:
+        return self.records.labels[self.idx]
+
+    @_lazy
+    def positions(self) -> np.ndarray:
+        return self.records.positions(self.idx)
+
+    @_lazy
+    def ranked(self) -> _Ranked:
+        """The cell's stable order is the inverse of its positions: no sort."""
+        order = np.empty(self.n, dtype=np.intp)
+        order[self.positions] = np.arange(self.n)
+        return _Ranked(self.scores, self.labels, order)
+
+    @_lazy
+    def pr_auc(self) -> float:
+        return _pr_auc(self.ranked)
+
+    @_lazy
+    def equal_width(self) -> Gaps:
+        membership = self.records.equal_width[self.idx]
+        return _bin_gaps(self.scores, self.labels, membership, self.cfg.n_bins)
+
+    @_lazy
+    def equal_count(self) -> Gaps:
+        n_bins = self.cfg.n_bins
+        membership = _equal_count_bins(self.positions, n_bins)
+        return _bin_gaps(self.scores, self.labels, membership, n_bins)
+
+    def _mean(self, table: np.ndarray) -> float:
+        """Mean of a per-record table of the run over the cell's records:
+        ``np.mean`` is this sum and division, without its wrapper."""
+        return float(np.add.reduce(table[self.idx]) / self.n)
+
+    @_lazy
+    def cross_entropy(self) -> float:
+        return -self._mean(self.records.log_likelihood)
+
+    @_lazy
+    def brier(self) -> float:
+        return self._mean(self.records.squared_error)
+
+    @property
+    def platt_cross_entropy(self) -> float:
+        return -self._mean(self.records.platt_log_likelihood)
+
+    @property
+    def platt_brier(self) -> float:
+        return self._mean(self.records.platt_squared_error)
+
+
+# metric name -> value on a cell; each entry picks what its estimator needs
+# from the cell, so the sorted view, binnings, the PR area and the proper
+# scoring rules are computed once per cell and shared by the metrics that read
+# them. The scoring rules are means over the run's per-record tables gathered
+# at the cell's indices: the same element-wise values as the estimators
+# compute on the gathered scores, summed in the same record order, so the
+# same bytes.
+_METRICS = {
+    "auc_roc": lambda c: _roc_auc(c.ranked, c.labels),
+    "auc_pr": lambda c: c.pr_auc,
+    "auc_prg": lambda c: _normalized_ap(c.pr_auc, c.ranked),
+    "balanced_accuracy": lambda c: _balanced_accuracy(
+        c.ranked, c.cfg.threshold
+    ),
+    "ece": lambda c: _ece(c.equal_width),
+    "mce": lambda c: _mce(c.equal_width),
+    "ada_ece": lambda c: _ece(c.equal_count),
+    "cross_entropy": lambda c: c.cross_entropy,
+    "brier": lambda c: c.brier,
+    # the calibration parts, as decompose_psr defines them: raw minus Platt
+    "delta_ce": lambda c: c.cross_entropy - c.platt_cross_entropy,
+    "delta_brier": lambda c: c.brier - c.platt_brier,
+}
+
+
+def metric_values_one_cell(
+    names: Sequence[str], records: _Records, idx: np.ndarray
+) -> tuple[dict[str, float], dict[str, str]]:
+    """Compute each metric independently on the records at sorted ``idx``;
+    undefined ones come back as NaN, with the reason under their name."""
+    cell = _Cell(records, idx)
+    values: dict[str, float] = {}
+    errors: dict[str, str] = {}
+    for name in names:
+        try:
+            values[name] = float(_METRICS[name](cell))
+        except ValueError as exc:
+            values[name] = math.nan
+            errors[name] = str(exc)
+    return values, errors

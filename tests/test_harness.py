@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -974,8 +975,8 @@ _TIED = (0.0, 0.2, 0.5, 0.7, 1.0)
 
 
 @st.composite
-def _tied_records(draw, min_size=2):
-    n = draw(st.integers(min_value=min_size, max_value=60))
+def _tied_records(draw, min_size=2, max_size=60):
+    n = draw(st.integers(min_value=min_size, max_value=max_size))
     column = lambda elements: np.array(draw(st.lists(elements, min_size=n, max_size=n)))
     return column(st.sampled_from(_TIED)), column(st.sampled_from((0, 1)))
 
@@ -1016,20 +1017,27 @@ def _platt_scores(test):
 
 
 class TestCellKernel:
-    """Cells bin from one stable order per run, not a sort of their own; every
-    value must still equal the estimator run on the cell's arrays."""
+    """Cells are evaluated in batches that bin and rank from one stable order
+    per run, not a sort of their own; every value must still equal the
+    estimator run on the cell's arrays."""
 
     @settings(database=None, deadline=None)
     @given(_tied_records(min_size=1), st.data())
     def test_equal_count_membership_without_a_sort(self, records, data):
         scores, labels = records
-        idx = np.array(sorted(data.draw(st.sets(st.integers(0, scores.size - 1), min_size=1))))
-        n_bins = data.draw(st.integers(1, idx.size))
+        subsets = st.sets(st.integers(0, scores.size - 1), min_size=1)
+        n_cells = data.draw(st.integers(1, 3))
+        cells = [np.array(sorted(data.draw(subsets))) for _ in range(n_cells)]
+        n_bins = data.draw(st.integers(1, min(idx.size for idx in cells)))
         run = _Records(scores, labels, None, AuditConfig(n_bins=n_bins))
-        membership = _equal_count_bins(run.positions(idx), n_bins)
-        assert membership.tolist() == oracles.equal_count_membership(
-            scores[idx].tolist(), n_bins
-        )
+        batch = harness._Batch([(run, idx) for idx in cells])
+        bins = _equal_count_bins(batch.position, batch.sizes, n_bins)
+        ends = np.cumsum(batch.sizes)
+        for k, idx in enumerate(cells):
+            membership = bins[ends[k] - idx.size : ends[k]] - k * n_bins
+            assert membership.tolist() == oracles.equal_count_membership(
+                scores[idx].tolist(), n_bins
+            )
 
     def test_loss_tables_built_only_for_the_metrics_that_read_them(self):
         s = calibrated_scoreset(60, seed=2)
@@ -1041,47 +1049,138 @@ class TestCellKernel:
         _metric_values(("cross_entropy", "brier", "delta_ce"), records, np.arange(s.n))
         assert tables & set(vars(records)) == {"log_likelihood", "squared_error"}
 
-    @settings(database=None, deadline=None, max_examples=40)
-    @given(_tied_records(), st.integers(1, 6), st.integers(0, 2**16))
-    def test_sweep_cells_equal_direct_estimators(self, records, n_bins, seed):
-        test = ScoreSet(scores=records[0], labels=records[1])
+    @settings(database=None, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(0, 2**16))
+    def test_sweep_cells_equal_direct_estimators(self, data, n_bins, seed):
+        # runs of one size, so each ratio's cells are rows of one length
+        n = data.draw(st.integers(2, 60))
+        tests = [
+            ScoreSet(scores=scores, labels=labels)
+            for scores, labels in (
+                data.draw(_tied_records(min_size=n, max_size=n))
+                for _ in range(data.draw(st.integers(1, 5)))
+            )
+        ]
         cfg = AuditConfig(n_bins=n_bins, ratios=(0.3, 0.6, 1.0), seed=seed)
-        result = run_sampling_sweep([AuditRun(0, _VALIDATION, test)], cfg)
-        platt_scores = _platt_scores(test)
-        got = {(ratio, m): v for _, ratio, m, v in result.rows}
-        for position, ratio in enumerate(cfg.ratios):
-            # the documented subsample seed scheme, with its retries
-            idx = None
-            for attempt in range(cfg.max_subsample_retries + 1):
-                try:
-                    idx = subsample_indices(test.labels, ratio, [seed, 3, 0, position, attempt])
-                    break
-                except DegenerateSampleError:
-                    continue
-            for m in cfg.metrics:
-                want = math.nan if idx is None else _direct(
-                    m, test.scores[idx], test.labels[idx], platt_scores[idx], cfg
-                )
-                assert _same(got[ratio, m], want), (ratio, m)
+        runs = [AuditRun(r, _VALIDATION, test) for r, test in enumerate(tests)]
+        result = run_sampling_sweep(runs, cfg)
+        got = {(run, ratio, m): v for run, ratio, m, v in result.rows}
+        for r, test in enumerate(tests):
+            platt_scores = _platt_scores(test)
+            for position, ratio in enumerate(cfg.ratios):
+                # the documented subsample seed scheme, with its retries
+                idx = None
+                for attempt in range(cfg.max_subsample_retries + 1):
+                    try:
+                        idx = subsample_indices(
+                            test.labels, ratio, [seed, 3, r, position, attempt]
+                        )
+                        break
+                    except DegenerateSampleError:
+                        continue
+                for m in cfg.metrics:
+                    want = math.nan if idx is None else _direct(
+                        m, test.scores[idx], test.labels[idx], platt_scores[idx], cfg
+                    )
+                    assert _same(got[r, ratio, m], want), (r, ratio, m)
 
-    @settings(database=None, deadline=None, max_examples=40)
-    @given(_tied_records(min_size=3), st.integers(1, 6), st.data())
-    def test_audit_series_equal_direct_estimators(self, records, n_bins, data):
-        scores, labels = records
-        n_minority = data.draw(st.integers(1, scores.size // 2))
-        groups = np.array(["big"] * (scores.size - n_minority) + ["small"] * n_minority)
-        groups = groups[np.array(data.draw(st.permutations(range(scores.size))))]
-        test = ScoreSet(scores=scores, labels=labels, groups=groups)
+    @settings(database=None, deadline=None)
+    @given(st.data(), st.integers(1, 6))
+    def test_audit_series_equal_direct_estimators(self, data, n_bins):
+        # runs with groups of one size, so each series' cells are rows of one length
+        n = data.draw(st.integers(3, 60))
+        n_minority = data.draw(st.integers(1, n // 2))
+        runs = []
+        for r in range(data.draw(st.integers(1, 5))):
+            scores, labels = data.draw(_tied_records(min_size=n, max_size=n))
+            groups = np.array(["big"] * (n - n_minority) + ["small"] * n_minority)
+            groups = groups[np.array(data.draw(st.permutations(range(n))))]
+            test = ScoreSet(scores=scores, labels=labels, groups=groups)
+            runs.append(AuditRun(r, _VALIDATION, test))
         cfg = AuditConfig(n_bins=n_bins, majority="big", minority="small", seed=5)
-        report = run_size_matched_audit([AuditRun(0, _VALIDATION, test)], cfg)
-        seed = report.provenance["match_seeds"][0]["seed"]
-        cells = {
-            "majority": np.flatnonzero(groups == "big"),
-            "minority": np.flatnonzero(groups == "small"),
-            "majority_matched": match_indices(test, "big", "small", seed),
-        }
-        platt_scores = _platt_scores(test)
-        for series, idx in cells.items():
-            for m in cfg.metrics:
-                want = _direct(m, scores[idx], labels[idx], platt_scores[idx], cfg)
-                assert _same(report.series[m][series][0], want), (series, m)
+        report = run_size_matched_audit(runs, cfg)
+        for run, match in zip(runs, report.provenance["match_seeds"]):
+            test, groups = run.test, run.test.groups
+            cells = {
+                "majority": np.flatnonzero(groups == "big"),
+                "minority": np.flatnonzero(groups == "small"),
+                "majority_matched": match_indices(test, "big", "small", match["seed"]),
+            }
+            platt_scores = _platt_scores(test)
+            for series, idx in cells.items():
+                for m in cfg.metrics:
+                    want = _direct(
+                        m, test.scores[idx], test.labels[idx], platt_scores[idx], cfg
+                    )
+                    got = report.series[m][series][run.run_index]
+                    assert _same(got, want), (run.run_index, series, m)
+
+
+# cell sizes from a small set, so cells of one size occur across runs
+_CELL_SIZES = (1, 2, 3, 5, 8, 13)
+
+
+def _oracle_cell_values(names, cells):
+    """``harness._cell_values`` from the per-cell loop that it replaced."""
+    values = np.empty((len(cells), len(names)))
+    errors = {}
+    oracle_runs = {}
+    for c, (records, idx) in enumerate(cells):
+        run = oracle_runs.setdefault(
+            id(records),
+            oracles._Records(
+                records.scores, records.labels, records.platt_scores, records.cfg
+            ),
+        )
+        cell, why = oracles.metric_values_one_cell(names, run, idx)
+        values[c] = [cell[m] for m in names]
+        if why:
+            errors[c] = why
+    return values, errors
+
+
+@settings(database=None, deadline=None)
+@given(st.data())
+def test_batches_equal_the_per_cell_loop(data):
+    n_bins = data.draw(st.integers(1, 6))
+    cfg = AuditConfig(n_bins=n_bins, majority="big", minority="small", seed=7)
+    runs, cells = [], []
+    n_runs = data.draw(st.integers(1, 6))
+    no_platt = data.draw(st.integers(-1, n_runs - 1))  # the run without Platt scores, if any
+    for r in range(n_runs):
+        scores, labels = data.draw(_tied_records(min_size=13, max_size=40))
+        n = scores.size
+        n_minority = data.draw(st.sampled_from(_CELL_SIZES[:4]))
+        groups = np.array(["big"] * (n - n_minority) + ["small"] * n_minority)
+        groups = groups[np.array(data.draw(st.permutations(range(n))))]
+        test = ScoreSet(scores=scores, labels=labels, groups=groups)
+        validation = _VALIDATION
+        if r == no_platt:
+            validation = ScoreSet(
+                scores=_VALIDATION.scores, labels=np.zeros(_VALIDATION.n, dtype=int)
+            )
+        runs.append(AuditRun(r, validation, test))
+        platt_scores = None if r == no_platt else _platt_scores(test)
+        records = _Records(scores, labels, platt_scores, cfg)
+        for _ in range(data.draw(st.integers(1, 4))):
+            size = data.draw(st.sampled_from(_CELL_SIZES))
+            members = st.sets(st.integers(0, n - 1), min_size=size, max_size=size)
+            cells.append((records, np.array(sorted(data.draw(members)))))
+    # the batch kernel against the per-cell loop, on one batch of every cell
+    got, got_errors = harness._cell_values(cfg.metrics, cells)
+    want, want_errors = _oracle_cell_values(cfg.metrics, cells)
+    assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+    assert got_errors == want_errors
+    # a whole audit whose queue fills in the middle of a run, against the
+    # per-cell loop that evaluated each cell as soon as it was drawn
+    with patch.object(harness, "_BATCH_RECORDS", 1), patch.object(
+        harness, "_cell_values", _oracle_cell_values
+    ):
+        expected = run_size_matched_audit(runs, cfg)
+    limit = data.draw(st.integers(1, 40 * n_runs))
+    with patch.object(harness, "_BATCH_RECORDS", limit):
+        report = run_size_matched_audit(runs, cfg)
+    assert report.provenance["notes"] == expected.provenance["notes"]
+    for m in cfg.metrics:
+        for s, values in expected.series[m].items():
+            assert [v.hex() for v in report.series[m][s]] == [v.hex() for v in values], (m, s)
