@@ -17,21 +17,21 @@ batch after which the run has no more cells. Each cell's metric notes go
 where the cell was queued, so the notes read as if each cell had been
 evaluated when it was drawn.
 
-Each run's test scores are stable-sorted once. That sort breaks ties by
-record index, and so does the stable sort of a sorted subset, so the run's
-order restricted to a cell is exactly the cell's own stable order: a record's
+Each run's test scores are stable-sorted once. That sort breaks ties by record
+index, and so does the stable sort of a sorted subset, so the run's order
+restricted to a cell is exactly the cell's own stable order: a record's
 position in its cell is the number of the cell's records before it in the
-run's order, read for the whole batch off one running count over each cell's
-span of run positions. A cell's equal-count (AdaECE) bins are gathered from
-those positions out of the bin pattern, without a sort per cell. The same
-order, scattered from those positions, gives the batch's sorted view
-(``discrimination._Ranked``): its tie blocks and running count of positives
-give every cell's ROC and PR areas and balanced accuracy. The records
-themselves are never reordered: subsample seeds draw record indices (a
-subsample of every record takes no draw), and each bin sum accumulates in
-record-index order. The synthetic runs are ``ScoreSet`` splits built without
-sample ids or group tags; no sweep reads either, so neither is rendered as
-strings.
+run's order, a running count over the run's ranks (one count per cell: one
+count over all of a batch's cells was slower on a sweep's large cells). A
+cell's equal-count (AdaECE) bins are gathered from those positions out of the
+bin pattern, without a sort per cell. The same order, scattered from those
+positions, gives the batch's sorted view (``discrimination._Ranked``): its tie
+blocks and running count of positives give every cell's ROC and PR areas and
+balanced accuracy. The records themselves are never reordered: subsample seeds
+draw record indices (a subsample of every record takes no draw), and each bin
+sum accumulates in record-index order. The synthetic runs are ``ScoreSet``
+splits built without sample ids or group tags; no sweep reads either, so
+neither is rendered as strings.
 
 The proper scoring rules come from per-run loss tables: each record's
 ``y*log(s) + (1-y)*log(1-s)`` on clipped scores and its ``(s - y)**2``, raw
@@ -130,7 +130,7 @@ ARM_SIZE_EFFECT = "size_effect"
 # is two batches, and a 20k-record sweep run's ratios from 0.1 to 1 are five
 # batches of one to four cells. Twice this makes a C4 audit one batch, but a
 # batch's arrays grow with it: a small_group_audits pass then peaked 1.3 MB
-# higher, a synthetic sweep run in turn 1.8 MB higher, and the sweep ran slower
+# higher, and a synthetic sweep scenario run in turn 1.1 MB higher
 _BATCH_RECORDS = 2**14
 
 # derived-seed stream tags, so no two sampling contexts share a seed key
@@ -429,16 +429,19 @@ class _Batch:
     @_lazy
     def position(self) -> np.ndarray:
         """Every record's position in the batch with each cell in its own
-        stable order (see the module docstring): the number of the batch's
-        records before it when the cells follow one another, each in its
-        run's order."""
-        span = self.run_sizes.cumsum() - self.run_sizes
-        key = self.gather("rank")
-        key += span.repeat(self.sizes)
-        inside = np.zeros(span[-1] + self.run_sizes[-1], dtype=bool)
-        inside[key] = True
-        position = inside.cumsum()[key]
-        position -= 1
+        stable order (see the module docstring): its cell's first position
+        plus the number of the cell's records before it in its run's order,
+        from a running count over the run's ranks."""
+        rank = self.gather("rank")
+        position = np.empty_like(rank)
+        at = 0
+        for n, n_run in zip(self.sizes.tolist(), self.run_sizes.tolist()):
+            cell = rank[at : at + n]
+            inside = np.zeros(n_run, dtype=bool)
+            inside[cell] = True
+            inside.cumsum().take(cell, out=position[at : at + n])
+            position[at : at + n] += at - 1
+            at += n
         return position
 
     @_lazy
