@@ -12,10 +12,10 @@ built per cell. Cells are queued as they are drawn and evaluated in batches
 ``_BATCH_RECORDS`` records, and once more at the end, so each numpy call is
 paid once per batch rather than once per cell. A batch lays its cells'
 records out cell after cell, each gathered once from every per-run table it
-needs; a run's tables are built on first use, and dropped once gathered by a
-batch after which the run has no more cells. Each cell's metric notes go
-where the cell was queued, so the notes read as if each cell had been
-evaluated when it was drawn.
+needs. A run's tables are built on first use and kept with its records,
+which are freed once no queued cell refers to them and the loop has moved on
+to the next run. Each cell's metric notes go where the cell was queued, so
+the notes read as if each cell had been evaluated when it was drawn.
 
 Each run's test scores are stable-sorted once. That sort breaks ties by record
 index, and so does the stable sort of a sorted subset, so the run's order
@@ -76,6 +76,7 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
+from functools import cached_property
 from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
@@ -129,8 +130,9 @@ ARM_SIZE_EFFECT = "size_effect"
 # module docstring): a C4-shaped audit, 25 runs of about 1,100 cell records,
 # is two batches, and a 20k-record sweep run's ratios from 0.1 to 1 are five
 # batches of one to four cells. Twice this makes a C4 audit one batch, but a
-# batch's arrays grow with it: a small_group_audits pass then peaked 1.3 MB
-# higher, and a synthetic sweep scenario run in turn 1.1 MB higher
+# batch's arrays grow with it: the benchmark's peak_rss_mb (median of three
+# runs) then rose 1.3 MB on small_group_audits, and 0.7 MB on synthetic_sweep
+# run on one CPU, its scenarios in turn
 _BATCH_RECORDS = 2**14
 
 # derived-seed stream tags, so no two sampling contexts share a seed key
@@ -306,26 +308,10 @@ def _csv_value(value: float) -> str:
     return "" if math.isnan(value) else str(value)
 
 
-class _lazy:
-    """A method read as an attribute and computed on first read, like
-    ``functools.cached_property`` but without the lock that Python 3.11 takes
-    on every first read; a ``_Records`` or ``_Batch`` is private to one call."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 @dataclass(frozen=True, eq=False)
 class _Records:
     """A run's test records as arrays, with per-record tables that every cell
-    over them reads, each built on first use.
+    over them reads, each built on first use and freed with the records.
 
     ``platt_scores`` are the records' recalibrated scores, or ``None`` when the
     run has no calibrator; then its Platt tables are never read.
@@ -336,12 +322,12 @@ class _Records:
     platt_scores: np.ndarray | None
     cfg: AuditConfig
 
-    @_lazy
+    @cached_property
     def equal_width(self) -> np.ndarray:
         """Every record's equal-width bin; a record's bin does not depend on its cell."""
         return calibration._equal_width_bins(self.scores, self.cfg.n_bins)
 
-    @_lazy
+    @cached_property
     def rank(self) -> np.ndarray:
         """Every record's position in the stable sort of all the scores."""
         order = _stable_order(self.scores)
@@ -350,29 +336,23 @@ class _Records:
         return rank
 
     # per-record loss tables (see the module docstring)
-    @_lazy
+    @cached_property
     def log_likelihood(self) -> np.ndarray:
         return calibration._log_likelihoods(self.scores, self.labels, self.cfg.clip_epsilon)
 
-    @_lazy
+    @cached_property
     def squared_error(self) -> np.ndarray:
         return calibration._squared_errors(self.scores, self.labels)
 
-    @_lazy
+    @cached_property
     def platt_log_likelihood(self) -> np.ndarray:
         return calibration._log_likelihoods(
             self.platt_scores, self.labels, self.cfg.clip_epsilon
         )
 
-    @_lazy
+    @cached_property
     def platt_squared_error(self) -> np.ndarray:
         return calibration._squared_errors(self.platt_scores, self.labels)
-
-    def drop(self, table: str) -> None:
-        """Forget a built table (not ``scores`` or ``labels``), to be built
-        again if it is read again."""
-        if isinstance(type(self).__dict__.get(table), _lazy):
-            self.__dict__.pop(table, None)
 
 
 class _Batch:
@@ -396,11 +376,9 @@ class _Batch:
         self.runs = [(records, np.concatenate(parts)) for records, parts in runs]
 
     def gather(self, table: str) -> np.ndarray:
-        """A run attribute of ``_Records`` at the batch's records. Only the
-        last run's cells can go on in a later batch, so the other runs drop a
-        table once it is gathered. A run without Platt scores has no Platt
-        table: its cells read zeros there, and their delta metrics are
-        undefined."""
+        """A run attribute of ``_Records`` at the batch's records, one ``take``
+        per run. A run without Platt scores has no Platt table: its cells read
+        zeros there, and their delta metrics are undefined."""
         out = None
         at = 0
         for records, idx in self.runs:
@@ -408,8 +386,6 @@ class _Batch:
                 values = np.zeros(records.scores.size)
             else:
                 values = getattr(records, table)
-                if records is not self.runs[-1][0]:
-                    records.drop(table)
             if out is None:
                 out = np.empty(self.sizes.sum(), dtype=values.dtype)
             # the indices are in range: "clip" writes straight into out, where
@@ -418,15 +394,15 @@ class _Batch:
             at += idx.size
         return out
 
-    @_lazy
+    @cached_property
     def scores(self) -> np.ndarray:
         return self.gather("scores")
 
-    @_lazy
+    @cached_property
     def labels(self) -> np.ndarray:
         return self.gather("labels")
 
-    @_lazy
+    @cached_property
     def position(self) -> np.ndarray:
         """Every record's position in the batch with each cell in its own
         stable order (see the module docstring): its cell's first position
@@ -444,14 +420,14 @@ class _Batch:
             at += n
         return position
 
-    @_lazy
+    @cached_property
     def ranked(self) -> discrimination._Ranked:
         """The cells' sorted views, from their positions: no sort."""
         order = np.empty_like(self.position)
         order[self.position] = np.arange(order.size)
         return discrimination._Ranked(self.scores[order], self.labels[order], self.sizes)
 
-    @_lazy
+    @cached_property
     def pr_auc(self) -> tuple[np.ndarray, dict[int, str]]:
         return discrimination._pr_auc(self.ranked)
 
@@ -460,14 +436,14 @@ class _Batch:
             bins, self.scores, self.labels, self.sizes.size, self.cfg.n_bins
         )
 
-    @_lazy
+    @cached_property
     def equal_width(self) -> calibration.Gaps:
         n_bins = self.cfg.n_bins
         bins = self.gather("equal_width")
         bins += np.arange(0, self.sizes.size * n_bins, n_bins).repeat(self.sizes)
         return self._gaps(bins)
 
-    @_lazy
+    @cached_property
     def ada_ece(self) -> tuple[np.ndarray, dict[int, str]]:
         n_bins = self.cfg.n_bins
         bins = calibration._equal_count_bins(self.position, self.sizes, n_bins)
@@ -476,7 +452,7 @@ class _Batch:
             calibration._too_few_for_equal_count(self.sizes, n_bins),
         )
 
-    @_lazy
+    @cached_property
     def cell_rows(self) -> _RaggedRows:
         return _RaggedRows(self.sizes)
 
@@ -485,11 +461,11 @@ class _Batch:
         on cells of equal size, and the division of ``np.mean``."""
         return self.cell_rows.sums(self.gather(table)) / self.sizes
 
-    @_lazy
+    @cached_property
     def cross_entropy(self) -> np.ndarray:
         return -self.mean("log_likelihood")
 
-    @_lazy
+    @cached_property
     def brier(self) -> np.ndarray:
         return self.mean("squared_error")
 

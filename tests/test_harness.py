@@ -7,6 +7,8 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
+from collections import Counter
 from pathlib import Path
 from unittest.mock import patch
 
@@ -47,11 +49,13 @@ from calaudit import (
     write_audit_json,
     write_sweep_csv,
 )
-from calaudit import harness
+from calaudit import calibration, discrimination, harness
 from calaudit.stats import InsufficientPairsError
 from calaudit.calibration import _equal_count_bins
 from calaudit.harness import (
+    ALL_METRICS,
     DISCRIMINATION_METRICS,
+    SERIES_MATCHED,
     SWEEP_METRICS,
     _Records,
     _metric_values,
@@ -1049,6 +1053,29 @@ class TestCellKernel:
         _metric_values(("cross_entropy", "brier", "delta_ce"), records, np.arange(s.n))
         assert tables & set(vars(records)) == {"log_likelihood", "squared_error"}
 
+    def test_batch_intermediates_built_once(self):
+        # the sorted view and the two binnings are shared by every metric
+        # that reads them, over cells of two runs
+        calls = Counter()
+
+        def counting(fn):
+            def wrapped(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return wrapped
+
+        cells = []
+        for seed in (3, 4):
+            s = calibrated_scoreset(90, seed=seed)
+            records = _Records(s.scores, s.labels, _platt_scores(s), AuditConfig())
+            cells += [(records, np.arange(0, 90, 2)), (records, np.arange(40))]
+        with patch.object(
+            discrimination, "_Ranked", counting(discrimination._Ranked)
+        ), patch.object(calibration, "_bin_gaps", counting(calibration._bin_gaps)):
+            values, errors = harness._cell_values(ALL_METRICS, cells)
+        assert calls == {"_Ranked": 1, "_bin_gaps": 2}
+        assert np.isfinite(values).all() and not errors
+
     @settings(database=None, deadline=None)
     @given(st.data(), st.integers(1, 6), st.integers(0, 2**16))
     def test_sweep_cells_equal_direct_estimators(self, data, n_bins, seed):
@@ -1184,3 +1211,63 @@ def test_batches_equal_the_per_cell_loop(data):
     for m in cfg.metrics:
         for s, values in expected.series[m].items():
             assert [v.hex() for v in report.series[m][s]] == [v.hex() for v in values], (m, s)
+
+
+_RUN_TABLES = (
+    "equal_width", "rank", "log_likelihood", "squared_error",
+    "platt_log_likelihood", "platt_squared_error",
+)
+
+
+@pytest.mark.parametrize("limit", [1, 150])
+def test_run_tables_built_once_and_freed_with_their_records(limit):
+    # runs of 120 test records: cells of 100, 20 and 20 records, so with a
+    # limit of 1 every cell is a batch and a run spans three of them, and
+    # with 150 the batches also span runs
+    runs = _two_group_runs(23, n_runs=4, n_validation=500, group_sizes=(100, 20))
+    fitted = []  # (run index, weak reference to the run's records)
+    built = Counter()  # (run index, table) -> builds
+
+    def alive():
+        return [(i, r) for i, ref in fitted if (r := ref()) is not None]
+
+    def fit(run, cfg, notes):
+        diag, records = fit_run_calibrator(run, cfg, notes)
+        fitted.append((run.run_index, weakref.ref(records)))
+        return diag, records
+
+    def builder(fn, raw, platt):
+        def wrapped(scores, *args):
+            for i, records in alive():
+                if scores is records.scores:
+                    built[i, raw] += 1
+                elif scores is records.platt_scores:
+                    built[i, platt] += 1
+            return fn(scores, *args)
+        return wrapped
+
+    def cell_values(names, cells):
+        current = fitted[-1][1]()
+        for i, records in alive():
+            assert records is current or any(records is r for r, _ in cells), i
+        return evaluate_cells(names, cells)
+
+    fit_run_calibrator, evaluate_cells = harness._fit_run_calibrator, harness._cell_values
+    with patch.object(harness, "_BATCH_RECORDS", limit), patch.object(
+        harness, "_fit_run_calibrator", fit
+    ), patch.object(harness, "_cell_values", cell_values), patch.object(
+        harness, "_stable_order", builder(harness._stable_order, "rank", None)
+    ), patch.object(
+        calibration, "_equal_width_bins",
+        builder(calibration._equal_width_bins, "equal_width", None),
+    ), patch.object(
+        calibration, "_log_likelihoods",
+        builder(calibration._log_likelihoods, "log_likelihood", "platt_log_likelihood"),
+    ), patch.object(
+        calibration, "_squared_errors",
+        builder(calibration._squared_errors, "squared_error", "platt_squared_error"),
+    ):
+        report = run_size_matched_audit(runs)
+    assert np.isfinite(report.series["delta_ce"][SERIES_MATCHED]).all()
+    assert built == {(i, table): 1 for i in range(len(runs)) for table in _RUN_TABLES}
+    assert alive() == []
