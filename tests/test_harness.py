@@ -55,7 +55,6 @@ from calaudit.calibration import _equal_count_bins
 from calaudit.harness import (
     ALL_METRICS,
     DISCRIMINATION_METRICS,
-    SERIES_MATCHED,
     SWEEP_METRICS,
     _Records,
     _metric_values,
@@ -1072,9 +1071,8 @@ class TestCellKernel:
         with patch.object(
             discrimination, "_Ranked", counting(discrimination._Ranked)
         ), patch.object(calibration, "_bin_gaps", counting(calibration._bin_gaps)):
-            values, errors = harness._cell_values(ALL_METRICS, cells)
+            harness._cell_values(ALL_METRICS, cells)
         assert calls == {"_Ranked": 1, "_bin_gaps": 2}
-        assert np.isfinite(values).all() and not errors
 
     @settings(database=None, deadline=None)
     @given(st.data(), st.integers(1, 6), st.integers(0, 2**16))
@@ -1267,7 +1265,6 @@ def test_run_tables_built_once_and_freed_with_their_records(limit):
         calibration, "_squared_errors",
         builder(calibration._squared_errors, "squared_error", "platt_squared_error"),
     ):
-        report = run_size_matched_audit(runs)
-    assert np.isfinite(report.series["delta_ce"][SERIES_MATCHED]).all()
+        run_size_matched_audit(runs)
     assert built == {(i, table): 1 for i in range(len(runs)) for table in _RUN_TABLES}
     assert alive() == []
