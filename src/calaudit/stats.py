@@ -174,30 +174,29 @@ def _exact_distribution(doubled_ranks: tuple[int, ...]) -> np.ndarray:
 
 def _equal_size_tests(d: np.ndarray) -> list[PairedTestResult]:
     """The signed-rank test of every row of ``d``, rows of ``n >= 3`` nonzero
-    differences each."""
-    n = d.shape[1]
+    differences each.
+
+    One stable argsort per row sorts its magnitudes, and the sorted rows are
+    laid end to end: :func:`_tie_bounds`, cut at every row's start, gives the
+    tie blocks, and a position's mid-rank is its :func:`_block_midranks` less
+    its row's offset. W+ and W- are masked row sums of the mid-ranks.
+    """
+    rows, n = d.shape
     magnitude = np.abs(d)
     order = np.argsort(magnitude, axis=1, kind="stable")
-    s = np.take_along_axis(magnitude, order, axis=1)
+    flat = np.take_along_axis(magnitude, order, axis=1).ravel()
     positive = np.take_along_axis(d, order, axis=1) > 0
-    # a tie block ends at every edge: first and last sorted position of each
-    # position's block, whose mid-rank is their mean, 1-based
-    edge = np.ones((len(d), n + 1), dtype=bool)
-    edge[:, 1:-1] = s[:, 1:] != s[:, :-1]
-    position = np.arange(n)
-    first = np.maximum.accumulate(np.where(edge[:, :-1], position, 0), axis=1)
-    last = np.minimum.accumulate(np.where(edge[:, 1:], position, n - 1)[:, ::-1], axis=1)
-    last = last[:, ::-1]
-    ranks = (first + last) / 2.0 + 1.0
+    row_offsets = np.arange(0, rows * n, n)
+    bounds = _tie_bounds(flat, row_offsets)
+    ranks = _block_midranks(bounds).reshape(rows, n) - row_offsets[:, None]
     w_plus = np.where(positive, ranks, 0.0).sum(axis=1)
     statistic = np.minimum(w_plus, np.where(positive, 0.0, ranks).sum(axis=1))
     if n <= EXACT_ENUMERATION_CUTOFF:
         method = "exact"
         # a row's doubled ranks, ascending, are the key of its exact null; the
         # counts are exact integers, so both tail sums are exact in any order
-        nulls = np.stack(
-            [_exact_distribution(tuple(key)) for key in (first + last + 2).tolist()]
-        )
+        keys = (2.0 * ranks).astype(np.intp).tolist()
+        nulls = np.stack([_exact_distribution(tuple(key)) for key in keys])
         w2 = np.rint(2.0 * statistic)[:, None]
         at = np.arange(nulls.shape[1])
         lower = np.where(at <= w2, nulls, 0.0).sum(axis=1)
@@ -206,9 +205,9 @@ def _equal_size_tests(d: np.ndarray) -> list[PairedTestResult]:
     else:
         method = "normal_approx"
         mu = n * (n + 1) / 2.0 / 2.0
-        # a tie block of t records adds t**3 - t, that is t**2 - 1 at each of its positions
-        tied = (last - first + 1).astype(np.float64)
-        tie_terms = (tied**2 - 1.0).sum(axis=1).tolist()
+        # a tie block of t records adds t**3 - t to its row's tie term
+        tied = np.diff(bounds)
+        tie_terms = np.bincount(bounds[:-1] // n, tied**3 - tied, rows).tolist()
         p_values = []
         for wp, tie_term in zip(w_plus.tolist(), tie_terms):
             sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
@@ -226,30 +225,25 @@ def _signed_rank_tests(
     """The two-sided Wilcoxon signed-rank test of every row of ``diffs``.
 
     A NaN entry is a missing pair and a zero difference is discarded. Rows
-    with the same number ``n`` of remaining differences are tested together:
-    one stable argsort of their absolute values per row gives the tie blocks,
-    each sorted position's mid-rank is the mean of its block's positions, and
-    W+ and W- are masked row sums. Mid-ranks are half-integers, which float64
-    adds exactly in any order, so each row gets the bits of a test of that
-    row alone. A row with fewer than 3 differences gets the
-    :class:`InsufficientPairsError` a test of it would raise.
+    with the same number of remaining differences form one block of
+    :class:`_RaggedRows` and are tested together by :func:`_equal_size_tests`.
+    Mid-ranks are half-integers, which float64 adds exactly in any order, so
+    each row gets the bits of a test of that row alone. A row with fewer than
+    3 differences gets the :class:`InsufficientPairsError` a test of it would
+    raise.
     """
     kept = (diffs != 0.0) & ~np.isnan(diffs)
     sizes = kept.sum(axis=1)
     out: list = [None] * len(diffs)
-    for n in np.unique(sizes).tolist():
-        rows = np.flatnonzero(sizes == n)
+    for row, n in enumerate(sizes.tolist()):
         if n < 3:
-            results = [
-                InsufficientPairsError(
-                    f"insufficient pairs: need >= 3 nonzero differences, got {n}"
-                )
-                for _ in rows
-            ]
-        else:
-            results = _equal_size_tests(diffs[rows][kept[rows]].reshape(-1, n))
-        for row, result in zip(rows.tolist(), results):
-            out[row] = result
+            out[row] = InsufficientPairsError(
+                f"insufficient pairs: need >= 3 nonzero differences, got {n}"
+            )
+    for which, block in _RaggedRows(sizes).blocks(diffs[kept]):
+        if block.shape[1] >= 3:
+            for row, result in zip(which, _equal_size_tests(block)):
+                out[row] = result
     return out
 
 

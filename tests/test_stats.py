@@ -306,6 +306,18 @@ _DIFFERENCES = st.one_of(
 @given(_tables(_DIFFERENCES, max_runs=36))
 @example(np.array([[1.0, -2.0, 0.0, np.nan, 3.0], [0.0, -0.0, 1.0, np.nan, np.nan]]))
 @example(np.arange(1.0, 31.0).reshape(1, 30) * np.where(np.arange(30) % 3, 1.0, -1.0))
+# 3, 1, 3 and 0 kept differences: the two rows of 3 are not adjacent, so their
+# block is a gathered copy
+@example(
+    np.array(
+        [
+            [1.0, -1.0, 2.0, np.nan, 0.0],
+            [0.0, 4.0, np.nan, -0.0, np.nan],
+            [-3.0, np.nan, 3.0, 3.0, 0.0],
+            [0.0, -0.0, np.nan, np.nan, np.nan],
+        ]
+    )
+)
 def test_signed_rank_tests_equal_one_row_tests(diffs):
     """``stats._signed_rank_tests`` gives every row the result (or the
     ``InsufficientPairsError`` and its text) of the old test on that row's
