@@ -518,9 +518,6 @@ def _cell_values(
     return values, errors
 
 
-# audits, sweeps and evaluate_scoreset call _cell_values, but tests call
-# _metric_values and bench/tracing.py wraps harness._metric_values by name, so
-# it stays: the one-cell case of _cell_values
 def _metric_values(
     names: Sequence[str], records: _Records, idx: np.ndarray
 ) -> tuple[dict[str, float], dict[str, str]]:
@@ -530,36 +527,37 @@ def _metric_values(
     return dict(zip(names, values[0].tolist())), errors.get(0, {})
 
 
+def _metric_block(records: _Records, idx: np.ndarray) -> dict:
+    values, errors = _metric_values(
+        DISCRIMINATION_METRICS + CALIBRATION_METRICS, records, idx
+    )
+    return {
+        "n": int(idx.size),
+        "prevalence": float(records.labels[idx].mean()),
+        "metrics": values,
+        "errors": errors,
+    }
+
+
 def evaluate_scoreset(
     scoreset: ScoreSet, config: AuditConfig | None = None, by_group: bool = False
 ) -> dict:
     """Every discrimination and calibration metric of one set, as the JSON
     blocks of ``calaudit metrics``: ``overall`` over all records and, with
-    ``by_group``, ``groups`` with one block per group tag. All blocks are the
-    cells of one batch.
+    ``by_group``, ``groups`` with one block per group tag.
 
     A block holds ``n``, ``prevalence``, ``metrics`` (``None`` where a metric
     is undefined) and ``errors`` (metric name -> reason).
     """
     cfg = config if config is not None else AuditConfig()
     records = _Records(scoreset.scores, scoreset.labels, None, cfg)
-    tags = sorted(scoreset.group_counts()) if by_group else []
-    idxs = [np.arange(scoreset.n)] + [np.flatnonzero(scoreset.groups == t) for t in tags]
-    names = DISCRIMINATION_METRICS + CALIBRATION_METRICS
-    values, errors = _cell_values(names, [(records, idx) for idx in idxs])
-    blocks = [
-        {
-            "n": int(idx.size),
-            "prevalence": float(records.labels[idx].mean()),
-            "metrics": dict(zip(names, row)),
-            "errors": errors.get(c, {}),
-        }
-        for c, (idx, row) in enumerate(zip(idxs, values.tolist()))
-    ]
-    out: dict = {"overall": blocks[0]}
+    blocks = {"overall": _metric_block(records, np.arange(scoreset.n))}
     if by_group:
-        out["groups"] = dict(zip(tags, blocks[1:]))
-    return _jsonable(out)
+        blocks["groups"] = {
+            tag: _metric_block(records, np.flatnonzero(scoreset.groups == tag))
+            for tag in sorted(scoreset.group_counts())
+        }
+    return _jsonable(blocks)
 
 
 def _fit_run_calibrator(

@@ -1211,38 +1211,6 @@ def test_batches_equal_the_per_cell_loop(data):
             assert [v.hex() for v in report.series[m][s]] == [v.hex() for v in values], (m, s)
 
 
-def test_evaluate_scoreset_blocks_are_one_batch_of_one_cell_results():
-    rng = np.random.default_rng(5)
-    scores = np.round(rng.random(60), 1)  # ties within and across groups
-    labels = rng.binomial(1, scores)
-    groups = np.array(["a", "b", "c"] * 20)
-    labels[groups == "c"] = 0  # one class only, so some metrics are undefined
-    s = ScoreSet(scores=scores, labels=labels, groups=groups)
-    batches = []
-    evaluate_cells = harness._cell_values
-
-    def cell_values(names, cells):
-        batches.append(len(cells))
-        return evaluate_cells(names, cells)
-
-    with patch.object(harness, "_cell_values", cell_values):
-        out = harness.evaluate_scoreset(s, by_group=True)
-    assert batches == [4]
-    assert list(out["groups"]) == ["a", "b", "c"]
-    assert out["groups"]["c"]["errors"]
-    records = _Records(s.scores, s.labels, None, AuditConfig())
-    names = DISCRIMINATION_METRICS + harness.CALIBRATION_METRICS
-    cells = [("overall", out["overall"], np.arange(s.n))]
-    cells += [(tag, out["groups"][tag], np.flatnonzero(groups == tag)) for tag in "abc"]
-    for where, block, idx in cells:
-        values, errors = _metric_values(names, records, idx)
-        assert block["n"] == idx.size, where
-        assert block["errors"] == errors, where
-        want = {m: None if math.isnan(v) else v.hex() for m, v in values.items()}
-        got = {m: None if v is None else v.hex() for m, v in block["metrics"].items()}
-        assert got == want, where
-
-
 _RUN_TABLES = (
     "equal_width", "rank", "log_likelihood", "squared_error",
     "platt_log_likelihood", "platt_squared_error",
