@@ -147,9 +147,11 @@ def _csv_stream(target: str | Path | IO[str], mode: str) -> Iterator[IO[str]]:
 def _csv_records(
     source: str | Path | IO[str], required: Iterable[str], where: str = ""
 ) -> Iterator[tuple[int, dict]]:
-    """``(line, row)`` for each data row of the CSV at ``source``, numbered from
-    2 (the header is line 1), after checking that the header is present and
-    holds every ``required`` column. Header errors start with ``where``.
+    """``(line, row)`` for each data row of the CSV at ``source``, after
+    checking that the header is present and holds every ``required`` column.
+    ``line`` is the physical line on which the row ends, counted from 1 at the
+    header: blank lines count, and so does every line of a quoted field that
+    spans lines. Header errors start with ``where``.
 
     A UTF-8 byte-order mark, read as U+FEFF, is dropped from the start of a
     file and of a stream alike; files are written without one."""
@@ -164,7 +166,8 @@ def _csv_records(
             raise ScoreSetFormatError(
                 f"{where}missing required column(s): " + ", ".join(sorted(missing))
             )
-        yield from enumerate(reader, start=2)
+        for row in reader:
+            yield reader.line_num, row
 
 
 def _write_csv(
@@ -198,7 +201,8 @@ def load_scoreset(source: str | Path | IO[str]) -> ScoreSet:
     ------
     ScoreSetFormatError
         On a missing header/column, a score outside [0, 1], or a label other
-        than 0/1; messages name the offending line (header is line 1).
+        than 0/1; messages name the physical line on which the offending row
+        ends (the header is line 1).
     """
     scores: list[float] = []
     labels: list[int] = []
@@ -223,12 +227,8 @@ def load_scoreset(source: str | Path | IO[str]) -> ScoreSet:
         groups.append((row.get("group") or "").strip() or UNKNOWN_GROUP)
     if not scores:
         raise ScoreSetFormatError("no data rows")
-    return ScoreSet(
-        scores=np.array(scores),
-        labels=np.array(labels),
-        sample_ids=np.array(sample_ids),
-        groups=np.array(groups),
-    )
+    # ScoreSet converts (and so copies) each column once
+    return ScoreSet(scores, labels, sample_ids, groups)
 
 
 _SCORE_COLUMNS = ("sample_id", "score", "label", "group")

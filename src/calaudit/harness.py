@@ -313,13 +313,14 @@ class _Records:
     """A run's test records as arrays, with per-record tables that every cell
     over them reads, each built on first use and freed with the records.
 
-    ``platt_scores`` are the records' recalibrated scores, or ``None`` when the
-    run has no calibrator; then its Platt tables are never read.
+    ``platt_scores`` are the records' recalibrated scores, NaN for a record
+    that has no calibrator, so that its Platt tables and every cell's Platt
+    mean over it are NaN too.
     """
 
     scores: np.ndarray
     labels: np.ndarray
-    platt_scores: np.ndarray | None
+    platt_scores: np.ndarray
     cfg: AuditConfig
 
     @cached_property
@@ -365,7 +366,6 @@ class _Batch:
         self.cfg = cells[0][0].cfg
         self.sizes = np.array([idx.size for _, idx in cells])
         self.run_sizes = np.array([records.scores.size for records, _ in cells])
-        self.has_platt = np.array([records.platt_scores is not None for records, _ in cells])
         # consecutive cells of one run share one gather of each run table
         runs: list[tuple[_Records, list[np.ndarray]]] = []
         for records, idx in cells:
@@ -377,15 +377,11 @@ class _Batch:
 
     def gather(self, table: str) -> np.ndarray:
         """A run attribute of ``_Records`` at the batch's records, one ``take``
-        per run. A run without Platt scores has no Platt table: its cells read
-        zeros there, and their delta metrics are undefined."""
+        per run."""
         out = None
         at = 0
         for records, idx in self.runs:
-            if table.startswith("platt_") and records.platt_scores is None:
-                values = np.zeros(records.scores.size)
-            else:
-                values = getattr(records, table)
+            values = getattr(records, table)
             if out is None:
                 out = np.empty(self.sizes.sum(), dtype=values.dtype)
             # the indices are in range: "clip" writes straight into out, where
@@ -470,9 +466,10 @@ class _Batch:
         return self.mean("squared_error")
 
     def delta(self, raw: np.ndarray, platt: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
-        """A calibration part, as decompose_psr defines it: raw minus Platt."""
+        """A calibration part, as decompose_psr defines it: raw minus Platt;
+        undefined where a record of the cell has no Platt score."""
         return raw - platt, _undefined(
-            ~self.has_platt, "delta metrics require Platt-transformed scores"
+            np.isnan(platt), "delta metrics require Platt-transformed scores"
         )
 
 
@@ -550,7 +547,10 @@ def evaluate_scoreset(
     is undefined) and ``errors`` (metric name -> reason).
     """
     cfg = config if config is not None else AuditConfig()
-    records = _Records(scoreset.scores, scoreset.labels, None, cfg)
+    # no calibrator (the blocks hold no delta metric): a zero-stride NaN per record
+    records = _Records(
+        scoreset.scores, scoreset.labels, np.broadcast_to(math.nan, scoreset.n), cfg
+    )
     blocks = {"overall": _metric_block(records, np.arange(scoreset.n))}
     if by_group:
         blocks["groups"] = {
@@ -567,11 +567,10 @@ def _fit_run_calibrator(
 
     Returns the run's ``platt`` provenance entry and its test records with
     their Platt scores. A fit that fails or does not converge (separable
-    validation data) is noted and yields no scores, so only the run's delta
-    metrics go missing.
+    validation data) is noted and gives every test record a NaN Platt score,
+    so only the run's delta metrics go missing.
     """
     test = run.test
-    platt_scores = None
     llr = to_llr(run.validation.scores, cfg.clip_epsilon)
     try:
         params = fit_platt(llr, run.validation.labels)
@@ -582,9 +581,9 @@ def _fit_run_calibrator(
         diag = {"run": run.run_index, **_fields(params)}
         if params.converged:
             platt_scores = apply_platt(params, to_llr(test.scores, cfg.clip_epsilon))
-        else:
-            notes.append(f"run {run.run_index}: Platt fit did not converge")
-    return diag, _Records(test.scores, test.labels, platt_scores, cfg)
+            return diag, _Records(test.scores, test.labels, platt_scores, cfg)
+        notes.append(f"run {run.run_index}: Platt fit did not converge")
+    return diag, _Records(test.scores, test.labels, np.full(test.n, math.nan), cfg)
 
 
 def _group_totals(runs: Sequence[AuditRun]) -> list[tuple[str, int]]:
@@ -687,11 +686,9 @@ def _evaluate(
     if evaluated:
         at = np.array(evaluated).T
         table[:, at[0], at[1]] = np.concatenate(blocks).T
+    # a missing value on either side is NaN, and so is the difference
     first, second = (table[:, [slot[pair[k]] for pair in arms.values()]] for k in (0, 1))
-    paired = np.isfinite(first) & np.isfinite(second)
-    diffs = np.full(first.shape, math.nan)
-    np.subtract(first, second, out=diffs, where=paired)
-    results = iter(_signed_rank_tests(diffs.reshape(-1, len(run_ids))))
+    results = iter(_signed_rank_tests((first - second).reshape(-1, len(run_ids))))
     tests: dict = {m: {} for m in cfg.metrics}
     for m in cfg.metrics:
         for arm in arms:

@@ -146,15 +146,6 @@ def _block_midranks(bounds: np.ndarray) -> np.ndarray:
     return ((starts + ends - 1) / 2.0 + 1.0).repeat(ends - starts)
 
 
-def midranks(values: np.ndarray) -> np.ndarray:
-    """1-based average ranks; tied values share the mean of their positions."""
-    v = np.asarray(values)
-    order = _stable_order(v)
-    ranks = np.empty(v.size, dtype=np.float64)
-    ranks[order] = _block_midranks(_tie_bounds(v[order]))
-    return ranks
-
-
 @lru_cache(maxsize=128)
 def _exact_distribution(doubled_ranks: tuple[int, ...]) -> np.ndarray:
     """Counts of 2*W+ over all sign assignments, read-only.

@@ -5,8 +5,9 @@ threshold sweeps, boundary scans, full sign-pattern enumeration, adaptive
 quadrature. None of it shares code with the package under test, except that
 the score-CSV parser builds the package's ``ScoreSet`` and raises its
 ``ScoreSetFormatError``, the one-row statistics return the package's result
-records and raise its ``InsufficientPairsError``, and the per-cell evaluation
-at the end reads the package's per-record tables and stable sort.
+records and raise its ``InsufficientPairsError``, and ``midranks`` and the
+per-cell evaluation at the end read the package's stable sort (the per-cell
+evaluation also its per-record tables).
 """
 
 from __future__ import annotations
@@ -425,7 +426,8 @@ def _parse_scores(fh: IO[str]) -> ScoreSet:
     labels: list[int] = []
     sample_ids: list[str] = []
     groups: list[str] = []
-    for line, row in enumerate(reader, start=2):
+    for row in reader:
+        line = reader.line_num
         raw_score = (row.get("score") or "").strip()
         try:
             score = float(raw_score)
@@ -516,6 +518,15 @@ def _block_midranks(bounds: np.ndarray) -> np.ndarray:
     tie bounds: tied values share the mean of their positions."""
     starts, ends = bounds[:-1], bounds[1:]
     return ((starts + ends - 1) / 2.0 + 1.0).repeat(ends - starts)
+
+
+def midranks(values: np.ndarray) -> np.ndarray:
+    """1-based average ranks; tied values share the mean of their positions."""
+    v = np.asarray(values)
+    order = _stable_order(v)
+    ranks = np.empty(v.size, dtype=np.float64)
+    ranks[order] = _block_midranks(_tie_bounds(v[order]))
+    return ranks
 
 
 def _equal_count_bins(positions: np.ndarray, n_bins: int) -> np.ndarray:

@@ -294,6 +294,15 @@ class TestAuditCommand:
         assert main(["audit", "--manifest", str(manifest), "--output", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {manifest} line 2: run_index must be >= 0\n"
 
+    def test_manifest_row_after_a_blank_line_names_its_physical_line(self, tmp_path, capsys):
+        manifest = tmp_path / "runs.csv"
+        manifest.write_text(
+            "run_index,validation_csv_path,test_csv_path\n\n-1,missing.csv,missing.csv\n"
+        )
+        out = tmp_path / "report.json"
+        assert main(["audit", "--manifest", str(manifest), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {manifest} line 3: run_index must be >= 0\n"
+
     @pytest.mark.parametrize(
         "column, text, message",
         [

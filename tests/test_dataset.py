@@ -196,6 +196,26 @@ class TestLoadScoreset:
         with pytest.raises(ScoreSetFormatError, match="line 2.*label"):
             load_scoreset(io.StringIO("score,label\n0.5,2\n"))
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("score,label\n\n0.5,2\n", 3),  # after a blank line
+            ("score,label\n0.2,0\n\n\n0.5,x\n", 5),
+            ("score,label\r\n0.2,0\r\n\r\n0.5,2\r\n", 4),
+            # after a quoted sample id that spans two lines
+            ('sample_id,score,label\n"a\nb",0.2,0\nc,0.5,3\n', 4),
+        ],
+        ids=["blank-line", "two-blank-lines", "crlf-blank-line", "two-line-id"],
+    )
+    @pytest.mark.parametrize("from_file", [False, True], ids=["stream", "file"])
+    def test_error_names_the_physical_line(self, tmp_path, text, line, from_file):
+        source = io.StringIO(text)
+        if from_file:
+            source = tmp_path / "scores.csv"
+            source.write_bytes(text.encode())
+        with pytest.raises(ScoreSetFormatError, match=f"^line {line}: label"):
+            load_scoreset(source)
+
     def test_missing_group_column_defaults_unknown(self):
         s = load_scoreset(io.StringIO("score,label\n0.2,0\n0.9,1\n"))
         assert set(s.groups) == {UNKNOWN_GROUP}
@@ -383,7 +403,9 @@ def _parsed(parse, text: str):
     ]
 
 
-@settings(database=None, deadline=None, max_examples=300)
+# three times the profile's example count: 300 in tier-1, ten times that
+# under --hypothesis-profile=ci
+@settings(database=None, deadline=None, max_examples=3 * settings.default.max_examples)
 @given(_score_csv_texts())
 def test_load_scoreset_matches_parser_oracle(text):
     assert _parsed(load_scoreset, text) == _parsed(oracles._parse_scores, text)

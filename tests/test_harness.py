@@ -1044,13 +1044,33 @@ class TestCellKernel:
 
     def test_loss_tables_built_only_for_the_metrics_that_read_them(self):
         s = calibrated_scoreset(60, seed=2)
-        records = _Records(s.scores, s.labels, None, AuditConfig())
+        records = _Records(s.scores, s.labels, np.full(s.n, math.nan), AuditConfig())
         tables = {"log_likelihood", "squared_error", "platt_log_likelihood",
                   "platt_squared_error"}
         _metric_values(("ece", "auc_pr"), records, np.arange(s.n))
         assert not tables & set(vars(records))
         _metric_values(("cross_entropy", "brier", "delta_ce"), records, np.arange(s.n))
-        assert tables & set(vars(records)) == {"log_likelihood", "squared_error"}
+        assert tables & set(vars(records)) == {
+            "log_likelihood", "squared_error", "platt_log_likelihood"
+        }
+
+    def test_delta_metrics_undefined_only_on_cells_over_a_record_without_platt(self):
+        # one run whose Platt scores are missing (NaN) on some records only: a
+        # cell over such a record has no delta metrics, with the reason, and a
+        # cell over none of them has decompose_psr's on its own records
+        s = calibrated_scoreset(60, seed=8)
+        platt_scores = _platt_scores(s)
+        platt_scores[45:] = math.nan
+        records = _Records(s.scores, s.labels, platt_scores, AuditConfig())
+        cells = [(records, np.arange(30, 60)), (records, np.arange(40))]
+        names = ("delta_ce", "delta_brier", "brier")
+        values, errors = harness._cell_values(names, cells)
+        why = "delta metrics require Platt-transformed scores"
+        assert errors == {0: {"delta_ce": why, "delta_brier": why}}
+        assert np.isnan(values[0, :2]).all() and np.isfinite(values[0, 2])
+        idx = cells[1][1]
+        want = decompose_psr(s.scores[idx], s.labels[idx], platt_scores[idx])
+        assert values[1].tolist() == [want.delta_ce, want.delta_brier, want.brier]
 
     def test_batch_intermediates_built_once(self):
         # the sorted view and the two binnings are shared by every metric
@@ -1151,11 +1171,13 @@ def _oracle_cell_values(names, cells):
     errors = {}
     oracle_runs = {}
     for c, (records, idx) in enumerate(cells):
+        # the oracle's run without a calibrator has no Platt scores at all
+        platt_scores = records.platt_scores
+        if np.isnan(platt_scores).all():
+            platt_scores = None
         run = oracle_runs.setdefault(
             id(records),
-            oracles._Records(
-                records.scores, records.labels, records.platt_scores, records.cfg
-            ),
+            oracles._Records(records.scores, records.labels, platt_scores, records.cfg),
         )
         cell, why = oracles.metric_values_one_cell(names, run, idx)
         values[c] = [cell[m] for m in names]
@@ -1185,7 +1207,7 @@ def test_batches_equal_the_per_cell_loop(data):
                 scores=_VALIDATION.scores, labels=np.zeros(_VALIDATION.n, dtype=int)
             )
         runs.append(AuditRun(r, validation, test))
-        platt_scores = None if r == no_platt else _platt_scores(test)
+        platt_scores = np.full(n, math.nan) if r == no_platt else _platt_scores(test)
         records = _Records(scores, labels, platt_scores, cfg)
         for _ in range(data.draw(st.integers(1, 4))):
             size = data.draw(st.sampled_from(_CELL_SIZES))

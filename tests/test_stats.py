@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from calaudit import InsufficientPairsError, summarize, wilcoxon_signed_rank
 from calaudit import stats
-from calaudit.stats import midranks
 
 import oracles
+from oracles import midranks
 from helpers import record_bits
 
 
