@@ -354,7 +354,7 @@ _SCORE_TEXTS = _mostly(
 _LABEL_TEXTS = _mostly(
     st.sampled_from(("0", "1")), st.sampled_from(("2", "-1", "1.0", "01", "", "x"))
 )
-_TAG_TEXTS = st.text(st.sampled_from('ab ,"\t\u00a0'), max_size=4)
+_TAG_TEXTS = st.text(st.sampled_from('ab ,"\t\n\u00a0'), max_size=4)
 _CELLS = {
     "sample_id": _TAG_TEXTS,
     "score": _SCORE_TEXTS,
