@@ -72,11 +72,12 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import signal
 import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
@@ -878,42 +879,115 @@ def run_synthetic_experiment(
     over the configured ratios. Bin metrics use the pre-calibration scores;
     the delta metrics compare pre- against post-calibration scores.
 
-    Scenarios are independent and fully seeded, so on Linux they run in
-    forked worker processes, at most one per CPU the process may use; the
-    results, and so every output, do not depend on the worker count. A
+    Scenarios are independent and fully seeded, so on Linux they are shared
+    out over W processes, one per CPU the process may use and at most one per
+    scenario: the caller runs scenarios 0, W, 2W, ... itself and W - 1 forked
+    children run the rest, so the caller's peak memory includes one
+    scenario's. The results, and so every output, do not depend on W. A
     process with other live threads, or a single CPU, runs them in turn. As
     in a serial run, an error in any scenario raises the lowest-index
-    scenario's exception, here after every scenario has finished.
+    scenario's exception, here after every scenario has finished; a child
+    that dies without a result (say, killed for memory) is such an error,
+    naming its scenario and how the child ended.
     """
     cfg = config if config is not None else AuditConfig()
     n_runs = _integer("n_runs", n_runs, 1)
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
         raise ValueError("scenario names must be unique")
-    jobs = [(si, scenario, n_runs, cfg) for si, scenario in enumerate(scenarios)]
+    results = _run_jobs(partial(_run_scenario, n_runs=n_runs, cfg=cfg), scenarios)
+    return {scenario.name: result for scenario, result in zip(scenarios, results)}
+
+
+def _run_jobs(function: Callable, jobs: Sequence) -> list:
+    """``[function(i, job) for i, job in enumerate(jobs)]``, spread over processes.
+
+    On Linux there are ``W = min(len(jobs), CPUs in the affinity mask)``
+    processes. The caller runs jobs 0, W, 2W, ... itself; forked child p
+    runs jobs p, p + W, ... and then sends each ``(index, ok, value)`` back
+    over its pipe. With ``W < 2``, off Linux, or when another thread is
+    alive (a fork can copy a lock that thread holds), the jobs run in turn
+    here. In processes, every job runs, then the lowest-index job's
+    exception is raised; a child that ends without sending a job's result
+    counts as that job raising ``RuntimeError``. An interrupt or other
+    ``BaseException`` in the caller terminates the children. Every child is
+    reaped before this returns or raises.
+    """
     workers = 1
-    # forking a process with other threads can copy a lock that one of them holds
     if sys.platform.startswith("linux") and threading.active_count() == 1:
         workers = min(len(jobs), len(os.sched_getaffinity(0)))
     if workers < 2:
-        results = [_run_scenario(*job) for job in jobs]
-    else:
-        # imported here: importing calaudit starts no pool and pays nothing for one
-        import multiprocessing
+        return [function(i, job) for i, job in enumerate(jobs)]
+    # imported here: importing calaudit pays nothing for process machinery
+    import multiprocessing
 
-        pool = multiprocessing.get_context("fork").Pool(workers)
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for p in range(1, workers):
+            reader, writer = context.Pipe(duplex=False)
+            with writer:  # the child's copy stays open: EOF once it has exited
+                child = context.Process(
+                    target=_send_share, args=(function, jobs, p, workers, writer)
+                )
+                child.start()  # flushes stdio first; the child leaves by os._exit
+            children.append((child, reader))
+        outcomes = {i: (ok, value) for i, ok, value in _share(function, jobs, 0, workers)}
+        for p, (child, reader) in enumerate(children, start=1):
+            with reader:
+                while True:
+                    try:
+                        i, ok, value = reader.recv()
+                    except EOFError:
+                        break
+                    outcomes[i] = (ok, value)
+            child.join()
+            for i in range(p, len(jobs), workers):
+                if i not in outcomes:
+                    outcomes[i] = (False, RuntimeError(
+                        f"job {i} ({jobs[i]!r}) got no result: its process "
+                        f"{_exit_status(child.exitcode)}"
+                    ))
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, reader in children:
+            child.join()
+            reader.close()
+    for i in range(len(jobs)):
+        ok, value = outcomes[i]
+        if not ok:
+            raise value
+    return [outcomes[i][1] for i in range(len(jobs))]
+
+
+def _share(function: Callable, jobs: Sequence, first: int, step: int) -> list[tuple]:
+    """``(index, ok, value)`` of jobs ``first, first + step, ...``: the result,
+    or the exception the job raised."""
+    out = []
+    for i in range(first, len(jobs), step):
         try:
-            pending = [pool.apply_async(_run_scenario, job) for job in jobs]
-            for p in pending:
-                p.wait()
-            results = [p.get() for p in pending]
-            pool.close()
-        except BaseException:
-            pool.terminate()
-            raise
-        finally:
-            pool.join()
-    return {scenario.name: result for scenario, result in zip(scenarios, results)}
+            out.append((i, True, function(i, jobs[i])))
+        except Exception as exc:
+            out.append((i, False, exc))
+    return out
+
+
+def _send_share(function: Callable, jobs: Sequence, first: int, step: int, conn) -> None:
+    """A forked child's body: its share of the jobs, each outcome sent once all
+    have run (a result sent earlier could block on a full pipe that the caller
+    reads only after its own share)."""
+    with conn:
+        for outcome in _share(function, jobs, first, step):
+            conn.send(outcome)
+
+
+def _exit_status(code: int) -> str:
+    if code < 0:
+        return f"was killed by {signal.Signals(-code).name}"
+    return f"exited with status {code}"
 
 
 def _run_scenario(si: int, scenario, n_runs: int, cfg: AuditConfig) -> SweepResult:

@@ -1,8 +1,9 @@
 import io
 import json
 import math
-import multiprocessing.pool
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -859,8 +860,9 @@ class TestSyntheticExperiment:
 
 
 class TestScenarioWorkers:
-    """The scenarios of a synthetic experiment run in forked workers, one per
-    CPU, or in turn; results and errors do not depend on which."""
+    """The scenarios of a synthetic experiment are shared out over the caller
+    and forked children, one process per CPU, or run in turn; results and
+    errors do not depend on which."""
 
     # the golden-output test's synthetic shape
     scenarios = [SyntheticScenario(1.0, 1.0), SyntheticScenario(2.0, 2.0),
@@ -895,7 +897,9 @@ class TestScenarioWorkers:
 
     def test_workers_and_serial_run_give_the_same_results(self, scenario_pids):
         pooled, pids = scenario_pids(cpus=2)
-        assert sorted(pids) == [0, 1, 2] and os.getpid() not in pids.values()
+        # two processes: the caller runs scenarios 0 and 2, a child scenario 1
+        assert sorted(pids) == [0, 1, 2]
+        assert pids[0] == pids[2] == os.getpid() != pids[1]
         serial, pids = scenario_pids(cpus=1)
         assert set(pids.values()) == {os.getpid()}
         assert list(pooled) == list(serial)
@@ -939,15 +943,81 @@ class TestScenarioWorkers:
         )
         assert multiprocessing.active_children() == []
 
-    def test_interrupt_terminates_the_workers(self, monkeypatch):
-        def interrupted(self, timeout=None):
+    def test_interrupt_terminates_the_workers(self, monkeypatch, tmp_path):
+        import calaudit.synthetic
+
+        caller = os.getpid()
+
+        def interrupted(pop, scenario):
+            if os.getpid() != caller:
+                (tmp_path / "child").write_text(str(os.getpid()))
+                time.sleep(60)  # still running when the caller is interrupted
+            deadline = time.monotonic() + 30
+            while not (tmp_path / "child").exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(multiprocessing.pool.ApplyResult, "wait", interrupted)
+        monkeypatch.setattr(calaudit.synthetic, "apply_miscalibration", interrupted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             run_synthetic_experiment(self.scenarios, 3, self.cfg)
+        assert time.monotonic() - start < 45
         assert multiprocessing.active_children() == []
+        with pytest.raises(ProcessLookupError):  # terminated and reaped, no zombie
+            os.kill(int((tmp_path / "child").read_text()), 0)
+
+    def test_a_killed_child_raises(self, monkeypatch):
+        import calaudit.synthetic
+
+        caller = os.getpid()
+        distort = calaudit.synthetic.apply_miscalibration
+
+        def killed(pop, scenario):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return distort(pop, scenario)
+
+        def overdue(signum, frame):
+            raise TimeoutError("the lost scenario was never reported")
+
+        monkeypatch.setattr(calaudit.synthetic, "apply_miscalibration", killed)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        previous = signal.signal(signal.SIGALRM, overdue)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError) as raised:
+                run_synthetic_experiment(self.scenarios, 3, self.cfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert str(raised.value) == (
+            "job 1 (SyntheticScenario(alpha=2.0, beta=2.0)) got no result: "
+            "its process was killed by SIGKILL"
+        )
+        assert multiprocessing.active_children() == []
+
+    def test_buffered_output_is_written_once(self):
+        import calaudit
+
+        src = str(Path(calaudit.__file__).resolve().parents[1])
+        code = (
+            "import os, sys\n"
+            "from calaudit import AuditConfig, SyntheticScenario, run_synthetic_experiment\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "sys.stdout.write('x')\n"
+            "run_synthetic_experiment(\n"
+            "    [SyntheticScenario(1.0, 1.0), SyntheticScenario(2.0, 2.0)], 3,\n"
+            "    AuditConfig(population_size=2000, ratios=(0.2, 1.0)),\n"
+            ")\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)  # keep the child's stdout block-buffered
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env,
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout == "x"
 
     def test_another_live_thread_selects_the_serial_run(self, scenario_pids):
         release = threading.Event()
