@@ -909,7 +909,7 @@ def _run_jobs(function: Callable, jobs: Sequence) -> list:
     alive (a fork can copy a lock that thread holds), the jobs run in turn
     here. In processes, every job runs, then the lowest-index job's
     exception is raised; a child that ends without sending a job's result
-    counts as that job raising ``RuntimeError``. An interrupt or other
+    counts as that job raising ``ChildProcessError``. An interrupt or other
     ``BaseException`` in the caller terminates the children. Every child is
     reaped before this returns or raises.
     """
@@ -942,11 +942,13 @@ def _run_jobs(function: Callable, jobs: Sequence) -> list:
                         break
                     outcomes[i] = (ok, value)
             child.join()
+            code = child.exitcode
+            how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+                   else f"exited with status {code}")
             for i in range(p, len(jobs), workers):
                 if i not in outcomes:
-                    outcomes[i] = (False, RuntimeError(
-                        f"job {i} ({jobs[i]!r}) got no result: its process "
-                        f"{_exit_status(child.exitcode)}"
+                    outcomes[i] = (False, ChildProcessError(
+                        f"job {i} ({jobs[i]!r}) got no result: its process {how}"
                     ))
     except BaseException:
         for child, _ in children:
@@ -982,12 +984,6 @@ def _send_share(function: Callable, jobs: Sequence, first: int, step: int, conn)
     with conn:
         for outcome in _share(function, jobs, first, step):
             conn.send(outcome)
-
-
-def _exit_status(code: int) -> str:
-    if code < 0:
-        return f"was killed by {signal.Signals(-code).name}"
-    return f"exited with status {code}"
 
 
 def _run_scenario(si: int, scenario, n_runs: int, cfg: AuditConfig) -> SweepResult:

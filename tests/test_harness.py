@@ -986,7 +986,7 @@ class TestScenarioWorkers:
         previous = signal.signal(signal.SIGALRM, overdue)
         signal.alarm(60)
         try:
-            with pytest.raises(RuntimeError) as raised:
+            with pytest.raises(ChildProcessError) as raised:
                 run_synthetic_experiment(self.scenarios, 3, self.cfg)
         finally:
             signal.alarm(0)
