@@ -52,8 +52,33 @@ class Binning:
 
 
 def _equal_width_bins(scores: np.ndarray, n_bins: int) -> np.ndarray:
-    """Equal-width bin index of every score: right-closed, bin 0 also holds 0."""
-    return np.searchsorted(np.linspace(0.0, 1.0, n_bins + 1)[1:-1], scores, side="left")
+    """Equal-width bin index of every score: right-closed, bin 0 also holds 0.
+
+    The index is the number of inner edges ``linspace(0, 1, n_bins + 1)[1:-1]``
+    below the score, as ``np.searchsorted(inner, scores, side="left")`` counts
+    them, without a search. ``floor(s * n_bins)``, clamped to the bins, is
+    within one bin of it: the product and the edges are each within a few ulps
+    of ``s * n_bins`` and ``i / n_bins``, far less than a bin apart. One
+    comparison with the guessed bin's lower edge and one with its upper edge
+    then move it down or up to the exact count. Bin 0 has no lower edge and
+    the last bin no upper one; a NaN edge compares false, so neither moves a
+    guess out of range. Scores outside [0, 1] land in the first or last bin,
+    as the search puts them, and so does NaN: ``fmin`` sends it to the last
+    bin, where the search sorts NaN, and every comparison keeps it there.
+    """
+    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    lower, upper = edges[:-1], edges[1:]
+    lower[0] = upper[-1] = np.nan
+    # a score whose product with n_bins passes the float range gives inf: the
+    # last bin; out= keeps a 0-d input an array for the in-place steps
+    with np.errstate(over="ignore"):
+        bins = np.multiply(scores, n_bins, out=np.empty(np.shape(scores)))
+    np.fmin(bins, n_bins - 1, out=bins)
+    np.fmax(bins, 0.0, out=bins)
+    bins = bins.astype(np.intp)
+    bins -= scores <= lower.take(bins)
+    bins += scores > upper.take(bins)
+    return bins
 
 
 def _equal_count_bins(positions: np.ndarray, sizes: np.ndarray, n_bins: int) -> np.ndarray:
@@ -172,12 +197,21 @@ def _log_likelihoods(
     scores: np.ndarray, labels: np.ndarray, clip_epsilon: float
 ) -> np.ndarray:
     """Every record's ``y * log(s) + (1 - y) * log(1 - s)``, with each score
-    clamped to [clip_epsilon, 1 - clip_epsilon]; cross-entropy is minus their mean."""
+    clamped to [clip_epsilon, 1 - clip_epsilon]; cross-entropy is minus their mean.
+
+    It is taken as one log per record, of the probability that the clamped
+    score gives the record's label, ``|s - (1 - y)|``: exactly ``s`` for a
+    positive and ``1 - s`` for a negative, as ``s - 1`` rounds to ``-(1 - s)``.
+    For a 0/1 label the sum's other term is ``0 * log(...)``, -0.0, which adds
+    nothing, so the bits are the sum's; a NaN score gives NaN either way. The
+    one exception is a ``clip_epsilon`` of at most 2**-54: ``1 - clip_epsilon``
+    rounds to 1, and a positive scored 1.0 gets log(1) = 0 here where the
+    sum's ``0 * log(0)`` is NaN. (A select, ``np.where(y == 1, s, 1 - s)``,
+    costs more than the log it saves on labels in random order.)"""
     if not 0.0 < clip_epsilon < 0.5:
         raise ValueError("clip_epsilon must lie in (0, 0.5)")
     s = np.clip(np.asarray(scores, dtype=np.float64), clip_epsilon, 1.0 - clip_epsilon)
-    y = np.asarray(labels)
-    return y * np.log(s) + (1 - y) * np.log(1.0 - s)
+    return np.log(np.abs(s - (1 - np.asarray(labels))))
 
 
 def _squared_errors(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -119,7 +119,14 @@ class ScoreSet:
         if ids is None:
             # the record indices np.arange(n)[idx] would gather, without building
             # all n: on a 100k-record set that cost more than the gathers
-            ids = np.flatnonzero(idx) if idx.dtype == bool else idx.reshape(-1) % self.n
+            if idx.dtype == bool:
+                ids = np.flatnonzero(idx)
+            elif idx.min() < 0:
+                ids = idx.reshape(-1) % self.n
+            else:
+                # a copy, not the modulo pass: the taken set freezes its ids,
+                # and idx may be the caller's array
+                ids = idx.reshape(-1).copy()
         return object.__new__(ScoreSet)._store(scores, labels, ids, groups)
 
     def _with_scores(self, scores: np.ndarray) -> "ScoreSet":

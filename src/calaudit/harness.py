@@ -22,7 +22,9 @@ index, and so does the stable sort of a sorted subset, so the run's order
 restricted to a cell is exactly the cell's own stable order: a record's
 position in its cell is the number of the cell's records before it in the
 run's order, a running count over the run's ranks (one count per cell: one
-count over all of a batch's cells was slower on a sweep's large cells). A
+count over all of a batch's cells was slower on a sweep's large cells),
+written into one scratch array per batch. A cell that is its whole run, as
+every sweep run's ratio 1 is, needs no count: its positions are the ranks. A
 cell's equal-count (AdaECE) bins are gathered from those positions out of the
 bin pattern, without a sort per cell. The same order, scattered from those
 positions, gives the batch's sorted view (``discrimination._Ranked``): its tie
@@ -404,16 +406,24 @@ class _Batch:
         """Every record's position in the batch with each cell in its own
         stable order (see the module docstring): its cell's first position
         plus the number of the cell's records before it in its run's order,
-        from a running count over the run's ranks."""
+        from a running count over the run's ranks, or, for a cell that is its
+        whole run, its rank."""
         rank = self.gather("rank")
         position = np.empty_like(rank)
+        count = np.empty(self.run_sizes.max(), dtype=position.dtype)
         at = 0
         for n, n_run in zip(self.sizes.tolist(), self.run_sizes.tolist()):
             cell = rank[at : at + n]
-            inside = np.zeros(n_run, dtype=bool)
-            inside[cell] = True
-            inside.cumsum().take(cell, out=position[at : at + n])
-            position[at : at + n] += at - 1
+            out = position[at : at + n]
+            if n == n_run:
+                # a cell's indices are distinct, so this cell is its whole run,
+                # where a record's position is its rank
+                np.add(cell, at, out=out)
+            else:
+                inside = np.zeros(n_run, dtype=bool)
+                inside[cell] = True
+                np.cumsum(inside, out=count[:n_run]).take(cell, out=out)
+                out += at - 1
             at += n
         return position
 

@@ -54,14 +54,22 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return _sigmoid(z, np.exp(-np.abs(z)))
 
 
-def _sigmoid(z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """:func:`sigmoid` of ``z`` from its ``e = exp(-|z|)``.
+def _sigmoid(
+    z: np.ndarray,
+    e: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """:func:`sigmoid` of ``z`` from its ``e = exp(-|z|)``, written into
+    ``out`` with ``1 + e`` in ``scratch`` when they are given.
 
     ``e <= 1``, so ``max(e, z >= 0)`` is exactly 1.0 for ``z >= 0`` and ``e``
     below, without a select; a NaN ``z`` gives a NaN ``e``, which ``maximum``
     propagates.
     """
-    return np.maximum(e, z >= 0) / (1.0 + e)
+    out = np.maximum(e, z >= 0, out=out)
+    out /= np.add(e, 1.0, out=scratch)
+    return out
 
 
 def to_llr(
@@ -80,25 +88,36 @@ _DECISION_MARGIN = 1e-12
 
 
 def _log_likelihood(
-    x: np.ndarray, y: np.ndarray, a: float, b: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """The log-likelihood at (a, b), the ``z = a * x + b`` it was taken at, and
-    the ``e = exp(-|z|)`` that :func:`sigmoid` takes at that z.
+    x: np.ndarray,
+    y: np.ndarray,
+    a: float,
+    b: float,
+    z: np.ndarray,
+    e: np.ndarray,
+    softplus: np.ndarray,
+    terms: np.ndarray,
+) -> float:
+    """The log-likelihood at (a, b). Writes the ``z = a * x + b`` it was taken
+    at into ``z`` and the ``e = exp(-|z|)`` that :func:`sigmoid` takes at that
+    z into ``e``; ``softplus`` and ``terms`` are scratch.
 
     ``log(1 + exp(z))`` is ``max(z, 0) + log1p(e)`` in numpy's vector ``exp``
     and ``log1p``, which agree with ``np.logaddexp(0, z)`` only to the last
     digits; :func:`_worse` says when that decides anything.
     """
-    z = a * x + b
-    e = np.exp(-np.abs(z))
-    softplus = np.log1p(e)
-    softplus += np.maximum(z, 0.0)
-    terms = y * z
+    np.multiply(a, x, out=z)
+    z += b
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.log1p(e, out=softplus)
+    softplus += np.maximum(z, 0.0, out=terms)
+    np.multiply(y, z, out=terms)
     terms -= softplus
     # every term is <= 0: a sum past the float range is -inf, a decrease like
     # any other
     with np.errstate(over="ignore"):
-        return float(np.add.reduce(terms)), z, e
+        return float(np.add.reduce(terms))
 
 
 def _exact_log_likelihood(y: np.ndarray, z: np.ndarray) -> float:
@@ -175,21 +194,25 @@ def fit_platt(
     # record when it is finite at the smallest and largest llr
     x_ends = (float(x.min()), float(x.max()))
     a, b = 1.0, 0.0
-    # z is always a * x + b at the current (a, b), and e its exp(-|z|): the
-    # line search returns the z it accepted, computed from the same floats as
-    # the updated a and b
-    ll, z, e = _log_likelihood(x, y, a, b)
+    # z is always a * x + b at the current (a, b), and e its exp(-|z|); a
+    # candidate step writes its own into new_z and new_e, and an accepted one
+    # swaps them in, so they are computed from the same floats as the updated
+    # a and b. p and scratch hold the other per-record values of an iteration.
+    z, e, new_z, new_e, p, scratch = (np.empty(x.size) for _ in range(6))
+    ll = _log_likelihood(x, y, a, b, z, e, p, scratch)
     iterations = 0
     gradient_norm = np.inf
     for _ in range(_MAX_ITERATIONS):
-        p = _sigmoid(z, e)
-        residual = y - p
+        _sigmoid(z, e, out=p, scratch=scratch)
+        residual = np.subtract(y, p, out=scratch)
         g_a = float(residual @ x)
         g_b = float(residual.sum())
         gradient_norm = max(abs(g_a), abs(g_b))
         if gradient_norm <= _TOLERANCE and not separable:
             break
-        w = p * (1.0 - p)
+        # the Hessian's weights p * (1 - p)
+        w = np.subtract(1.0, p, out=scratch)
+        w *= p
         h_aa = float(w @ xx)
         h_ab = float(w @ x)
         h_bb = float(w.sum())
@@ -210,7 +233,7 @@ def fit_platt(
             # or a * x overflowing) is worse without evaluating it
             worse = not all(math.isfinite(new_a * end + new_b) for end in x_ends)
             if not worse:
-                new_ll, new_z, new_e = _log_likelihood(x, y, new_a, new_b)
+                new_ll = _log_likelihood(x, y, new_a, new_b, new_z, new_e, p, scratch)
                 worse = _worse(y, ll, z, new_ll, new_z)
             if not worse or halvings == 60:
                 break
@@ -218,8 +241,8 @@ def fit_platt(
             halvings += 1
         if worse:
             break
-        a, b = new_a, new_b
-        ll, z, e = new_ll, new_z, new_e
+        a, b, ll = new_a, new_b, new_ll
+        z, e, new_z, new_e = new_z, new_e, z, e
         iterations += 1
     else:
         residual = y - _sigmoid(z, e)

@@ -21,7 +21,7 @@ from typing import IO, Sequence
 import numpy as np
 from scipy import integrate, special
 
-from calaudit.calibration import _equal_width_bins, _log_likelihoods, _squared_errors
+from calaudit.calibration import _squared_errors
 from calaudit.dataset import UNKNOWN_GROUP, ScoreSet, ScoreSetFormatError
 from calaudit.stats import (
     BoxplotSummary,
@@ -96,6 +96,20 @@ def equal_width_membership(scores, boundaries) -> list[int]:
         else:
             members.append(n_bins - 1)
     return members
+
+
+def equal_width_bins_searchsorted(scores, n_bins) -> np.ndarray:
+    """Equal-width bin index of every score by a binary search over the inner
+    edges: the number of them below the score (NaN sorts after every edge)."""
+    return np.searchsorted(np.linspace(0.0, 1.0, n_bins + 1)[1:-1], scores, side="left")
+
+
+def log_likelihoods_sum_form(scores, labels, clip_epsilon) -> np.ndarray:
+    """Every record's ``y * log(s) + (1 - y) * log(1 - s)`` as written, on
+    scores clamped to [clip_epsilon, 1 - clip_epsilon]."""
+    s = np.clip(np.asarray(scores, dtype=np.float64), clip_epsilon, 1.0 - clip_epsilon)
+    y = np.asarray(labels)
+    return y * np.log(s) + (1 - y) * np.log(1.0 - s)
 
 
 def equal_count_membership(scores, n_bins) -> list[int]:
@@ -671,12 +685,12 @@ class _Records:
     @_lazy
     def equal_width(self) -> np.ndarray:
         """Every record's equal-width bin; a record's bin does not depend on its cell."""
-        return _equal_width_bins(self.scores, self.cfg.n_bins)
+        return equal_width_bins_searchsorted(self.scores, self.cfg.n_bins)
 
     # per-record loss tables (see the module docstring), each built on first use
     @_lazy
     def log_likelihood(self) -> np.ndarray:
-        return _log_likelihoods(self.scores, self.labels, self.cfg.clip_epsilon)
+        return log_likelihoods_sum_form(self.scores, self.labels, self.cfg.clip_epsilon)
 
     @_lazy
     def squared_error(self) -> np.ndarray:
@@ -684,7 +698,7 @@ class _Records:
 
     @_lazy
     def platt_log_likelihood(self) -> np.ndarray:
-        return _log_likelihoods(
+        return log_likelihoods_sum_form(
             self._platt_scores(), self.labels, self.cfg.clip_epsilon
         )
 

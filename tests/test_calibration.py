@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calaudit import (
     EQUAL_COUNT,
@@ -13,6 +15,7 @@ from calaudit import (
     ece,
     mce,
 )
+from calaudit.calibration import _equal_width_bins, _log_likelihoods
 
 import oracles
 from helpers import calibrated_scoreset, make_scoreset
@@ -20,17 +23,19 @@ from helpers import calibrated_scoreset, make_scoreset
 
 class TestBinScores:
     def test_equal_width_boundaries(self):
-        # a score on a boundary i/10 closes bin i - 1; the next float opens bin i
-        edges = np.linspace(0, 1, 11)
-        above = np.nextafter(edges[:-1], 1.0)
-        s = make_scoreset(np.concatenate([edges, above]), [0] * 21)
-        binning = bin_scores(s.scores, EQUAL_WIDTH, 10)
-        assert list(binning.membership) == [0, *range(10), *range(10)]
+        # a score on a boundary i/n closes bin i - 1; the next float opens bin i
+        for n_bins in (1, 3, 7, 10, 15):
+            edges = np.linspace(0, 1, n_bins + 1)
+            above = np.nextafter(edges[:-1], 1.0)
+            s = make_scoreset(np.concatenate([edges, above]), [0] * (2 * n_bins + 1))
+            binning = bin_scores(s.scores, EQUAL_WIDTH, n_bins)
+            assert list(binning.membership) == [0, *range(n_bins), *range(n_bins)], n_bins
 
     def test_equal_width_right_closed(self):
         s = make_scoreset([0.0, 0.1, 0.15, 1.0], [0, 1, 0, 1])
         binning = bin_scores(s.scores, EQUAL_WIDTH, 10)
         assert list(binning.membership) == [0, 0, 1, 9]
+        assert list(bin_scores(0.15, EQUAL_WIDTH, 10).membership) == [1]
 
     def test_equal_count_even_split(self):
         s = calibrated_scoreset(100, seed=1)
@@ -165,6 +170,12 @@ class TestProperScoringRules:
         s = make_scoreset([1.0, 0.0], [0, 1])
         assert cross_entropy(s.scores, s.labels, 1e-7) == pytest.approx(-math.log(1e-7), rel=1e-6)
 
+    def test_cross_entropy_of_sure_scores_below_float_resolution(self):
+        # 1 - 1e-300 rounds to 1, so the clamp leaves 1.0 where it is: the
+        # records are certain and right, and each log-likelihood is log(1) = 0
+        # (the sum form's 0 * log(0) would make it NaN)
+        assert cross_entropy(np.array([1.0, 0.0]), np.array([1, 0]), 1e-300) == 0.0
+
     def test_cross_entropy_epsilon_validated(self):
         s = make_scoreset([0.5], [1])
         with pytest.raises(ValueError, match="clip_epsilon"):
@@ -227,3 +238,46 @@ class TestSampleSizeBehaviour:
             a, b = small[:, column], large[:, column]
             spread = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
             assert abs(a.mean() - b.mean()) < 3 * spread
+
+
+@st.composite
+def _bin_inputs(draw):
+    """Scores and a bin count: edges and their neighbouring floats, the
+    special values, any float, and uniform scores, shuffled."""
+    n_bins = draw(st.integers(1, 40) | st.sampled_from([100, 1000, 12345, 10**6]))
+    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    at = edges[draw(st.lists(st.integers(0, n_bins), max_size=40))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = np.concatenate([
+        at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf),
+        [0.0, -0.0, 1.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324],
+        draw(st.lists(st.floats(-1.0, 2.0) | st.floats(), max_size=40)),
+        rng.random(draw(st.integers(0, 2000))),
+    ])
+    rng.shuffle(scores)
+    return scores, n_bins
+
+
+@settings(database=None, deadline=None)
+@given(_bin_inputs())
+def test_equal_width_bins_equal_the_search(data):
+    scores, n_bins = data
+    got = _equal_width_bins(scores, n_bins)
+    want = oracles.equal_width_bins_searchsorted(scores, n_bins)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(database=None, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-0.5, 1.5) | st.floats(), st.integers(0, 1)), min_size=1),
+    st.sampled_from([1e-15, 1e-7, 1e-3, 0.25]),
+)
+def test_log_likelihoods_equal_the_sum_form(records, clip_epsilon):
+    scores, labels = (np.array(column) for column in zip(*records))
+    got = _log_likelihoods(scores, labels, clip_epsilon)
+    want = oracles.log_likelihoods_sum_form(scores, labels, clip_epsilon)
+    # NaN stays NaN; its sign bit is not compared
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()

@@ -115,6 +115,21 @@ class TestScoreSet:
         expected = np.arange(5).astype(str)[np.asarray(idx)].reshape(-1)
         np.testing.assert_array_equal(s.take(idx).sample_ids, expected)
 
+    @pytest.mark.parametrize(
+        "idx", [np.array([4, 0, 2]), np.array([-5, 3, -1]), np.array([[4, -1], [0, 2]])]
+    )
+    def test_take_leaves_the_callers_indices_as_they_were(self, idx):
+        s = ScoreSet(scores=np.linspace(0.0, 1.0, 5), labels=np.arange(5) % 2)
+        given = idx.copy()
+        ids = vars(s.take(idx))["_sample_ids"]
+        # the set's ids are the parent's record indices, frozen in a copy of
+        # their own: the caller's array stays writeable and as it was
+        assert ids.dtype == given.dtype
+        np.testing.assert_array_equal(ids, given.reshape(-1) % 5)
+        assert idx.flags.writeable
+        idx[...] = 1
+        np.testing.assert_array_equal(ids, given.reshape(-1) % 5)
+
     def test_default_groups_render_on_first_read(self):
         n = 12
         s = ScoreSet(scores=np.linspace(0.0, 1.0, n), labels=np.arange(n) % 2)

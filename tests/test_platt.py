@@ -213,7 +213,9 @@ def _platt_inputs(draw):
     return llrs, labels
 
 
-@settings(database=None, deadline=None, max_examples=150)
+# one and a half times the profile's example count: 150 in tier-1, ten times
+# that under --hypothesis-profile=ci
+@settings(database=None, deadline=None, max_examples=3 * settings.default.max_examples // 2)
 @given(_platt_inputs())
 @example(_DIVERGING)
 def test_fit_platt_equals_the_logaddexp_fit(data):
