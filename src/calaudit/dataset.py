@@ -265,6 +265,11 @@ def write_scoreset_csv(scoreset: ScoreSet, dest: str | IO[str]) -> None:
 def subsample_indices(labels: np.ndarray, fraction: float, seed: Seed) -> np.ndarray:
     """Sorted indices of a uniform without-replacement subsample of round(fraction*N) records.
 
+    The draw is ``choice(N, size=m, replace=False)`` from the seed's generator;
+    its indices are put in order by marking them in an ``N``-record mask and
+    reading the mask's positions back, which gives the array that sorting them
+    would, in linear time.
+
     Raises :class:`DegenerateSampleError` when the result would hold fewer than
     two records or a single label class; callers may retry with a fresh seed.
     """
@@ -279,7 +284,9 @@ def subsample_indices(labels: np.ndarray, fraction: float, seed: Seed) -> np.nda
         # every record, which is what any seed's draw would return once sorted
         idx = np.arange(n)
     else:
-        idx = np.sort(np.random.default_rng(seed).choice(n, size=m, replace=False))
+        drawn = np.zeros(n, dtype=bool)
+        drawn[np.random.default_rng(seed).choice(n, size=m, replace=False)] = True
+        idx = np.flatnonzero(drawn)
     chosen = labels[idx]
     if chosen.min() == chosen.max():
         raise DegenerateSampleError("subsample lost one of the label classes")

@@ -21,10 +21,11 @@ Each run's test scores are stable-sorted once. That sort breaks ties by record
 index, and so does the stable sort of a sorted subset, so the run's order
 restricted to a cell is exactly the cell's own stable order: a record's
 position in its cell is the number of the cell's records before it in the
-run's order, a running count over the run's ranks (one count per cell: one
-count over all of a batch's cells was slower on a sweep's large cells),
-written into one scratch array per batch. A cell that is its whole run, as
-every sweep run's ratio 1 is, needs no count: its positions are the ranks. A
+run's order. The cell's ranks, marked in a run-sized mask and read back in
+ascending order, are each given their position in one run-sized lookup
+table per batch, and every record of the cell reads its position there at
+its rank. A cell that is its whole run, as every sweep run's ratio 1 is,
+needs no table: its positions are the ranks. A
 cell's equal-count (AdaECE) bins are gathered from those positions out of the
 bin pattern, without a sort per cell. The same order, scattered from those
 positions, gives the batch's sorted view (``discrimination._Ranked``): its tie
@@ -215,6 +216,12 @@ class AuditConfig:
             raise ValueError(f"quantile_rule: {exc}") from None
         if not 0.0 < self.clip_epsilon < 0.5:
             raise ValueError("clip_epsilon must lie in (0, 0.5)")
+        if 1.0 - self.clip_epsilon == 1.0:
+            # to_llr would then map a score of 1.0 to +inf
+            raise ValueError(
+                f"clip_epsilon {self.clip_epsilon!r} cannot keep scores off 1: "
+                "1 - clip_epsilon rounds to 1 (it must exceed 2**-54)"
+            )
         if (self.majority is None) != (self.minority is None):
             raise ValueError("set both majority and minority tags, or neither")
         if self.majority is not None and self.majority == self.minority:
@@ -406,11 +413,11 @@ class _Batch:
         """Every record's position in the batch with each cell in its own
         stable order (see the module docstring): its cell's first position
         plus the number of the cell's records before it in its run's order,
-        from a running count over the run's ranks, or, for a cell that is its
-        whole run, its rank."""
+        looked up at its rank in a table of the cell's ranks in ascending
+        order, or, for a cell that is its whole run, its rank."""
         rank = self.gather("rank")
         position = np.empty_like(rank)
-        count = np.empty(self.run_sizes.max(), dtype=position.dtype)
+        lut = np.empty(self.run_sizes.max(), dtype=position.dtype)
         at = 0
         for n, n_run in zip(self.sizes.tolist(), self.run_sizes.tolist()):
             cell = rank[at : at + n]
@@ -420,10 +427,12 @@ class _Batch:
                 # where a record's position is its rank
                 np.add(cell, at, out=out)
             else:
+                # the cell's ranks in ascending order, each given its
+                # position, then looked up at every record of the cell
                 inside = np.zeros(n_run, dtype=bool)
                 inside[cell] = True
-                np.cumsum(inside, out=count[:n_run]).take(cell, out=out)
-                out += at - 1
+                lut[np.flatnonzero(inside)] = np.arange(at, at + n)
+                lut.take(cell, out=out, mode="clip")
             at += n
         return position
 

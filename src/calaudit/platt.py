@@ -158,8 +158,11 @@ def _worse(
 
 
 def _separable(x: np.ndarray, y: np.ndarray) -> bool:
-    pos = x[y == 1]
-    neg = x[y == 0]
+    # fit_platt has checked that y holds only 0s and 1s, so the negatives are
+    # the records that are not positive
+    positive = y == 1
+    pos = np.compress(positive, x)
+    neg = np.compress(~positive, x)
     return bool(pos.min() > neg.max() or pos.max() < neg.min())
 
 

@@ -37,11 +37,12 @@ class BoxplotSummary:
 def _stable_order(values: np.ndarray) -> np.ndarray:
     """``np.argsort(values, kind="stable")`` from numpy's faster unstable sort.
 
-    Without ties the unstable order is the only ascending one. Otherwise each
-    sorted position gets the number of its tie block (NaNs, sorted last, form
-    one block), and the keys ``block * n + index`` are unique and ascend by
+    Without ties the unstable order is the only ascending one. Otherwise only
+    the sorted positions inside tie blocks (runs of equal values; NaNs, sorted
+    last, form one run) are re-sorted: each gets the number of its block among
+    those runs, and the keys ``block * n + index`` are unique and ascend by
     block and then by index, so sorting them and subtracting ``block * n``
-    puts every tie block back in index order.
+    puts every tie block back in index order, in the positions it holds.
     """
     v = np.asarray(values)
     order = np.argsort(v)
@@ -54,10 +55,22 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
         new_block &= (s[1:] == s[1:]) | (s[:-1] == s[:-1])
     if new_block.all():
         return order
-    block = np.zeros(n, dtype=np.intp)
-    np.cumsum(new_block, out=block[1:])
+    same = ~new_block
+    tied = np.zeros(n, dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    at = np.flatnonzero(tied)
+    # a tied position starts a block unless its value equals the one before it
+    starts = np.ones(at.size, dtype=bool)
+    starts[1:] = new_block.take(at[1:] - 1)
+    block = np.cumsum(starts, dtype=np.intp)
     block *= n
-    return np.sort(block + order) - block
+    keys = order.take(at)
+    keys += block
+    keys.sort()
+    keys -= block
+    order[at] = keys
+    return order
 
 
 def _tie_bounds(sorted_values: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:

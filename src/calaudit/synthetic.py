@@ -113,15 +113,20 @@ def regularized_incomplete_beta(
         ln_beta = math.lgamma(alpha + beta) - math.lgamma(alpha) - math.lgamma(beta)
         front = np.exp(ln_beta + alpha * np.log(xi) + beta * np.log1p(-xi))
         res = np.empty_like(xi)
+        # each side of the switch point by its integer positions: a gather or
+        # scatter through them is cheaper than through an interleaved mask
         direct = xi < (alpha + 1.0) / (alpha + beta + 2.0)
-        if np.any(direct):
-            res[direct] = (
-                front[direct] * _beta_continued_fraction(alpha, beta, xi[direct]) / alpha
+        near, far = np.flatnonzero(direct), np.flatnonzero(~direct)
+        if near.size:
+            res[near] = (
+                front.take(near)
+                * _beta_continued_fraction(alpha, beta, xi.take(near))
+                / alpha
             )
-        if np.any(~direct):
-            res[~direct] = 1.0 - (
-                front[~direct]
-                * _beta_continued_fraction(beta, alpha, 1.0 - xi[~direct])
+        if far.size:
+            res[far] = 1.0 - (
+                front.take(far)
+                * _beta_continued_fraction(beta, alpha, 1.0 - xi.take(far))
                 / beta
             )
         out[interior] = res

@@ -4,7 +4,8 @@ Everything here is deliberately slow and literal: pairwise loops, explicit
 threshold sweeps, boundary scans, full sign-pattern enumeration, adaptive
 quadrature. None of it shares code with the package under test, except that
 the score-CSV parser builds the package's ``ScoreSet`` and raises its
-``ScoreSetFormatError``, the one-row statistics return the package's result
+``ScoreSetFormatError``, the sorted subsample raises its
+``DegenerateSampleError``, the one-row statistics return the package's result
 records and raise its ``InsufficientPairsError``, and ``midranks`` and the
 per-cell evaluation at the end read the package's stable sort (the per-cell
 evaluation also its per-record tables).
@@ -22,7 +23,12 @@ import numpy as np
 from scipy import integrate, special
 
 from calaudit.calibration import _squared_errors
-from calaudit.dataset import UNKNOWN_GROUP, ScoreSet, ScoreSetFormatError
+from calaudit.dataset import (
+    UNKNOWN_GROUP,
+    DegenerateSampleError,
+    ScoreSet,
+    ScoreSetFormatError,
+)
 from calaudit.stats import (
     BoxplotSummary,
     InsufficientPairsError,
@@ -302,6 +308,45 @@ def beta_continued_fraction_allocating(
     return h
 
 
+# synthetic.regularized_incomplete_beta as it was when it split its records
+# by boolean masks, on the allocating continued fraction above (whose bits
+# the package's in-place one keeps), for finite x in [0, 1]
+def regularized_incomplete_beta_masked(x, alpha: float, beta: float):
+    scalar = np.isscalar(x) or np.ndim(x) == 0
+    xa = np.asarray(x, dtype=np.float64).reshape(-1)
+    if alpha == 1.0 and beta == 1.0:
+        out = xa.copy()
+    else:
+        out = np.empty_like(xa)
+        interior = (xa > 0.0) & (xa < 1.0)
+        out[xa == 0.0] = 0.0
+        out[xa == 1.0] = 1.0
+        xi = xa[interior]
+        ln_beta = math.lgamma(alpha + beta) - math.lgamma(alpha) - math.lgamma(beta)
+        front = np.exp(ln_beta + alpha * np.log(xi) + beta * np.log1p(-xi))
+        res = np.empty_like(xi)
+        direct = xi < (alpha + 1.0) / (alpha + beta + 2.0)
+        if np.any(direct):
+            res[direct] = (
+                front[direct]
+                * beta_continued_fraction_allocating(alpha, beta, xi[direct])
+                / alpha
+            )
+        if np.any(~direct):
+            res[~direct] = 1.0 - (
+                front[~direct]
+                * beta_continued_fraction_allocating(beta, alpha, 1.0 - xi[~direct])
+                / beta
+            )
+        out[interior] = res
+        if alpha == beta:
+            out[xa == 0.5] = 0.5
+        np.clip(out, 0.0, 1.0, out=out)
+    if scalar:
+        return float(out[0])
+    return out.reshape(np.shape(x))
+
+
 def beta_cdf_quadrature(x: float, alpha: float, beta: float) -> float:
     """I_x(alpha, beta) by adaptive quadrature of the normalized beta density."""
     ln_norm = math.lgamma(alpha + beta) - math.lgamma(alpha) - math.lgamma(beta)
@@ -358,6 +403,31 @@ def sigmoid_two_branch(z) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def separable_masked(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether the llrs ``x`` of one class all lie strictly above or below
+    those of the other, from each label's records picked by a boolean mask."""
+    pos = x[y == 1]
+    neg = x[y == 0]
+    return bool(pos.min() > neg.max() or pos.max() < neg.min())
+
+
+def subsample_indices_sorted(labels, fraction: float, seed) -> np.ndarray:
+    """dataset.subsample_indices with its draw put in order by ``np.sort``."""
+    labels = np.asarray(labels)
+    n = labels.size
+    m = int(round(fraction * n))
+    if m < 2:
+        raise DegenerateSampleError(f"subsample of {m} record(s) is too small")
+    if m == n:
+        idx = np.arange(n)
+    else:
+        idx = np.sort(np.random.default_rng(seed).choice(n, size=m, replace=False))
+    chosen = labels[idx]
+    if chosen.min() == chosen.max():
+        raise DegenerateSampleError("subsample lost one of the label classes")
+    return idx
 
 
 def fit_platt_logaddexp(llrs, labels, tolerance=1e-8, max_iterations=100):

@@ -178,6 +178,35 @@ class TestAuditCommand:
         main(["audit", "--manifest", manifest, "--output", str(out_b), "--seed", "77"])
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_epsilon_that_cannot_clamp_refused_before_reading_files(self, tmp_path, capsys):
+        code = main(
+            [
+                "audit",
+                "--epsilon", repr(2.0**-54),
+                "--manifest", str(tmp_path / "missing.csv"),
+                "--output", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: clip_epsilon 5.551115123125783e-17 cannot keep scores off 1: "
+            "1 - clip_epsilon rounds to 1 (it must exceed 2**-54)\n"
+        )
+
+    def test_smallest_epsilon_that_clamps_fits_a_score_of_one(self, tmp_path):
+        manifest = _manifest(tmp_path, n_runs=3, seed=6)
+        v = calibrated_scoreset(400, seed=1)
+        scores = v.scores.copy()
+        scores[np.flatnonzero(v.labels == 1)[0]] = 1.0
+        _write_csv(tmp_path / "val1.csv", ScoreSet(scores=scores, labels=v.labels))
+        out = tmp_path / "report.json"
+        argv = ["audit", "--manifest", manifest, "--output", str(out)]
+        assert main(argv + ["--epsilon", repr(2.0**-53)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["provenance"]["config"]["clip_epsilon"] == 2.0**-53
+        assert all("error" not in fit for fit in payload["provenance"]["platt"])
+        assert payload["series"]["delta_ce"]["east"][1] is not None
+
     def test_single_class_validation_run_still_audited(self, tmp_path):
         manifest = _manifest(tmp_path, n_runs=3, seed=6)
         v = calibrated_scoreset(400, seed=1)

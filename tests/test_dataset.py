@@ -3,7 +3,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calaudit import (
@@ -424,6 +424,42 @@ def _parsed(parse, text: str):
 @given(_score_csv_texts())
 def test_load_scoreset_matches_parser_oracle(text):
     assert _parsed(load_scoreset, text) == _parsed(oracles._parse_scores, text)
+
+
+@st.composite
+def _subsample_inputs(draw):
+    """Labels of 1 to 3,000 records at any prevalence (0 and 1 included, so
+    that some draws lose a class), a fraction and a draw seed."""
+    n = draw(st.integers(1, 3000))
+    prevalence = draw(st.sampled_from([0.0, 0.002, 0.5, 0.998, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.binomial(1, prevalence, n)
+    fraction = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return labels, fraction, draw(st.integers(0, 2**32 - 1))
+
+
+def _subsample_outcome(subsample, labels, fraction, seed):
+    try:
+        idx = subsample(labels, fraction, seed)
+    except DegenerateSampleError as exc:
+        return str(exc)
+    return idx.dtype, idx.tobytes()
+
+
+@settings(database=None, deadline=None)
+@given(_subsample_inputs())
+@example((np.array([0, 1, 0, 1]), 1.0, 0))  # m == n: every record, no draw
+@example((np.array([0, 1, 1, 1]), 0.999, 0))  # rounds to m == n
+@example((np.zeros(6, dtype=np.int64), 1.0, 0))  # m == n, one class
+@example((np.array([0, 0, 0, 1]), 0.5, 0))  # a 2-record draw that may lose the positive
+@example((np.array([0, 1, 1]), 0.4, 0))  # m = 1: too small
+@example((np.resize([0, 1], 20_000), 0.9, 101))  # a sweep run's size
+def test_subsample_indices_equal_the_sorted_draw(data):
+    labels, fraction, seed = data
+    got = _subsample_outcome(subsample_indices, labels, fraction, seed)
+    assert got == _subsample_outcome(oracles.subsample_indices_sorted, labels, fraction, seed)
+    if not isinstance(got, str):
+        assert got[0] == np.dtype(np.intp)
 
 
 class TestSubsample:

@@ -225,6 +225,21 @@ class TestAuditConfig:
         with pytest.raises(ValueError, match=message):
             AuditConfig(**fields)
 
+    def test_clip_epsilon_that_cannot_clamp_refused(self):
+        # 1 - 2**-54 rounds to 1, so the clamp would leave a score of 1.0 at 1
+        # and its LLR infinite; 1 - 2**-53 is exact
+        assert 1.0 - 2.0**-54 == 1.0 and 1.0 - 2.0**-53 < 1.0
+        for eps in (2.0**-54, 1e-300, 5e-324):
+            with pytest.raises(ValueError) as excinfo:
+                AuditConfig(clip_epsilon=eps)
+            assert str(excinfo.value) == (
+                f"clip_epsilon {eps!r} cannot keep scores off 1: "
+                "1 - clip_epsilon rounds to 1 (it must exceed 2**-54)"
+            )
+        cfg = AuditConfig(clip_epsilon=2.0**-53)
+        assert cfg.clip_epsilon == 2.0**-53
+        assert np.isfinite(to_llr(np.array([0.0, 1.0]), cfg.clip_epsilon)).all()
+
 
 class TestAuditRun:
     @pytest.mark.parametrize("run_index", [1.5, 1.0, True, -1, "1"])

@@ -234,6 +234,19 @@ def test_fit_platt_equals_the_logaddexp_fit(data):
     assert repr(got) == repr(expected)
 
 
+@settings(database=None, deadline=None)
+@given(_platt_inputs())
+# the classes meet at one llr: pos.min() == neg.max(), and the mirror case
+@example((np.array([0.0, 1.0, 1.0, 2.0]), np.array([0, 0, 1, 1])))
+@example((np.array([2.0, 1.0, 1.0, 0.0]), np.array([0, 0, 1, 1])))
+@example((np.array([-0.0, 0.0]), np.array([1, 0])))
+@example((np.array([-1.0, 1.0, -1.0]), np.array([1, 0, 1])))
+def test_separable_equals_the_masked_form(data):
+    llrs, labels = data
+    y = labels.astype(np.float64)
+    assert platt._separable(llrs, y) is oracles.separable_masked(llrs, y)
+
+
 class TestApplyPlatt:
     def test_identity_round_trip(self):
         params = PlattParams(a=1.0, b=0.0, iterations=0, final_gradient_norm=0.0, converged=True)

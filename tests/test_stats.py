@@ -32,10 +32,27 @@ _TIE_PRONE = st.one_of(
 )
 
 
+def _few_ties(n: int, seed: int, ties: int, nans: int = 0) -> np.ndarray:
+    """``n`` distinct shuffled values, ``ties`` of them then copied over other
+    records (the smallest and the largest first) and ``nans`` records set to
+    NaN: a sweep-sized array on which only a few records are tied."""
+    rng = np.random.default_rng(seed)
+    v = rng.permutation(n) / 8.0
+    sources = np.concatenate(([0.0, (n - 1) / 8.0], rng.choice(v, ties)))[:ties]
+    v[rng.choice(n, ties + nans, replace=False)] = np.concatenate(
+        (sources, np.full(nans, np.nan))
+    )
+    return v
+
+
 @settings(database=None, deadline=None)
 @given(
     st.one_of(
         st.lists(_TIE_PRONE, max_size=60).map(lambda v: np.array(v, dtype=np.float64)),
+        st.tuples(
+            st.integers(2000, 4000), st.integers(0, 2**32 - 1), st.integers(1, 8),
+            st.integers(0, 5),
+        ).map(lambda t: _few_ties(*t)),
         st.lists(st.sampled_from([0.0, -0.0]), max_size=60).map(
             lambda v: np.array(v, dtype=np.float64)
         ),
@@ -49,6 +66,13 @@ _TIE_PRONE = st.one_of(
 @example(np.array([], dtype=np.float64))
 @example(np.array([2.5]))
 @example(np.array([1, 0], dtype=np.int64))
+# sweep-sized: a tie at the smallest value, at the largest, several NaNs, all tied
+@example(_few_ties(2500, 1, ties=1))
+@example(_few_ties(2500, 2, ties=2))
+@example(_few_ties(3000, 3, ties=6, nans=5))
+@example(_few_ties(2000, 4, ties=0, nans=4))
+@example(np.full(2500, 0.75))
+@example(np.full(2500, np.nan))
 def test_stable_order_equals_stable_argsort(values):
     expected = np.argsort(values, kind="stable")
     got = stats._stable_order(values)

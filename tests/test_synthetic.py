@@ -113,6 +113,41 @@ def test_continued_fraction_equals_allocating_form(a, b, xs, add_floored):
     ) == expected
 
 
+@settings(database=None, deadline=None)
+@given(
+    st.floats(0.1, 20.0),
+    st.one_of(st.none(), st.floats(0.1, 20.0)),
+    st.lists(st.floats(0.0, 1.0), max_size=40),
+    st.booleans(),
+)
+@example(5.0, None, [0.0, 0.5, 1.0], False)
+@example(1.0, None, [0.0, 0.3, 1.0], False)  # the uniform CDF
+@example(1.0, 3.0, [0.5], True)  # the switch point is 0.4
+@example(2.0, 5.0, [], False)
+@example(5.0, None, [0.0, 1.0, 1.0, 0.0], False)  # no interior record
+def test_incomplete_beta_equals_the_masked_partition(a, b, xs, add_edges):
+    """Splitting the records at the switch point by integer positions gives
+    the boolean-mask split's bits, or its non-convergence error; ``b`` None
+    is alpha = beta, and ``add_edges`` adds x = 0, 1 and 0.5 and the switch
+    point with its two neighbours."""
+    b = a if b is None else b
+    if add_edges:
+        switch = (a + 1.0) / (a + b + 2.0)
+        xs = xs + [0.0, 0.5, 1.0, switch, np.nextafter(switch, 0.0), np.nextafter(switch, 1.0)]
+    x = np.array(xs, dtype=np.float64)
+    expected = _continued_fraction_outcome(
+        lambda: oracles.regularized_incomplete_beta_masked(x, a, b)
+    )
+    assert _continued_fraction_outcome(
+        lambda: regularized_incomplete_beta(x, a, b)
+    ) == expected
+    if x.size and not isinstance(expected, str):
+        # a scalar x takes the same path and returns a float
+        got = regularized_incomplete_beta(float(x[0]), a, b)
+        assert type(got) is float
+        assert repr(got) == repr(oracles.regularized_incomplete_beta_masked(float(x[0]), a, b))
+
+
 def test_continued_fraction_floor_and_error_message(monkeypatch):
     x = np.array([0.5])
     # (a, b) = (1, 3): d starts at 1 - 4 * 0.5 / 2 = 0, raised to the floor
