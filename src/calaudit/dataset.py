@@ -304,8 +304,8 @@ def _match_group_indices(
     """Sorted indices of a subsample of the majority group, of the minority
     group's size, from the sorted indices of each group's records.
 
-    Sampling is stratified by label so the majority's prevalence is preserved
-    within one sample per class.
+    Stratified by label: round(n * P / N) of the minority's n records come from
+    the majority's P positives of N; as n <= N, neither class runs short.
     """
     for tag, idx in ((majority, maj_idx), (minority, min_idx)):
         if idx.size == 0:
@@ -319,11 +319,7 @@ def _match_group_indices(
     pos = maj_idx[maj_labels == 1]
     neg = maj_idx[maj_labels == 0]
     n_pos = int(round(n_target * pos.size / maj_idx.size))
-    n_pos = min(n_pos, pos.size)
     n_neg = n_target - n_pos
-    if n_neg > neg.size:
-        n_neg = int(neg.size)
-        n_pos = n_target - n_neg
     rng = np.random.default_rng(seed)
     parts = []
     if n_pos:

@@ -191,7 +191,7 @@ class AuditConfig:
             raise ValueError("at least one metric is required")
         if len(set(metrics)) != len(metrics):
             raise ValueError("metrics must not repeat a name")
-        ratios = tuple(float(r) for r in self.ratios)
+        ratios = tuple(_real("ratios", r) for r in self.ratios)
         if not ratios or any(not 0.0 < r <= 1.0 for r in ratios):
             raise ValueError("ratios must lie in (0, 1]")
         if list(ratios) != sorted(ratios):
@@ -222,6 +222,9 @@ class AuditConfig:
                 f"clip_epsilon {self.clip_epsilon!r} cannot keep scores off 1: "
                 "1 - clip_epsilon rounds to 1 (it must exceed 2**-54)"
             )
+        for name in ("majority", "minority"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a str group tag, got {getattr(self, name)!r}")
         if (self.majority is None) != (self.minority is None):
             raise ValueError("set both majority and minority tags, or neither")
         if self.majority is not None and self.majority == self.minority:
@@ -735,10 +738,11 @@ def _evaluate(
 def _audit(
     runs: Sequence[AuditRun], config: AuditConfig | None, kind: str
 ) -> AuditReport:
-    """The body of both audits; ``kind`` picks the series and the arms.
+    """The body of both audits; ``kind`` picks a table of series specs and the arms.
 
-    The group audit's series are the two groups' test records, named after
-    their tags, and its one arm is the size-matched audit's naive arm.
+    A spec ``(name, tag, matched_to)`` is the test records of ``tag`` or, when
+    ``matched_to`` is a tag, their label-stratified draw at its size. An arm
+    pairs two names; the group audit's one arm is the size-matched naive arm.
     """
     cfg = config if config is not None else AuditConfig()
     runs = list(runs)
@@ -746,11 +750,9 @@ def _audit(
         raise ValueError("no runs supplied")
     totals = _group_totals(runs)
     majority, minority = _resolve_group_pair(totals, cfg)
-    matched = kind == "size_matched"
-    # series name -> group tag whose test records it holds; None is the
-    # majority subsampled to the minority's size
-    if matched:
-        sources = {SERIES_MAJORITY: majority, SERIES_MINORITY: minority, SERIES_MATCHED: None}
+    if kind == "size_matched":
+        specs = ((SERIES_MAJORITY, majority, None), (SERIES_MINORITY, minority, None),
+                 (SERIES_MATCHED, majority, minority))
         arms = {
             ARM_NAIVE: (SERIES_MAJORITY, SERIES_MINORITY),
             ARM_SIZE_MATCHED: (SERIES_MATCHED, SERIES_MINORITY),
@@ -758,38 +760,40 @@ def _audit(
         }
         label = "series {}".format
     else:
-        sources = {majority: majority, minority: minority}
+        specs = ((majority, majority, None), (minority, minority, None))
         arms = {"majority_vs_minority": (majority, minority)}
         label = "group {!r}".format
     match_seeds: list[dict] = []
 
     def cells(run: AuditRun, notes: list[str]) -> list[tuple]:
-        # each tag compared once, and the majority matched before any series
-        # is evaluated; None (the matched majority) stays None when the run
-        # cannot be matched
-        maj_idx, min_idx = (np.flatnonzero(run.test.groups == t) for t in (majority, minority))
-        cell_idx = {majority: maj_idx, minority: min_idx, None: None}
-        if matched:
-            match_seed = [cfg.seed, _STREAM_MATCH, run.run_index]
-            try:
-                cell_idx[None] = _match_group_indices(
-                    run.test.labels, majority, maj_idx, minority, min_idx, match_seed
-                )
-            except ValueError as exc:
-                # only the matched series goes missing; both groups are still evaluated
-                notes.append(f"run {run.run_index}: {exc}")
-            else:
-                match_seeds.append({"run": run.run_index, "seed": match_seed})
-        return [(s, cell_idx[tag]) for s, tag in sources.items()]
+        # a list, not a generator: every series is drawn (and noted) before any is queued
+        found = {t: np.flatnonzero(run.test.groups == t) for t in (majority, minority)}
+        drawn = []
+        for name, tag, matched_to in specs:
+            idx = found[tag]
+            if matched_to is not None:
+                seed = [cfg.seed, _STREAM_MATCH, run.run_index]
+                try:
+                    idx = _match_group_indices(
+                        run.test.labels, tag, idx, matched_to, found[matched_to], seed
+                    )
+                except ValueError as exc:
+                    # only this series goes missing; its groups are still evaluated
+                    idx = None
+                    notes.append(f"run {run.run_index}: {exc}")
+                else:
+                    match_seeds.append({"run": run.run_index, "seed": seed})
+            drawn.append((name, idx))
+        return drawn
 
-    report = _evaluate(runs, cfg, kind, sources, arms, label, cells)
+    report = _evaluate(runs, cfg, kind, [spec[0] for spec in specs], arms, label, cells)
     report.provenance["notes"][:0] = [
         f"group {tag!r} ({count} test records) not audited"
         for tag, count in totals
         if tag not in (majority, minority)
     ]
     report.provenance["groups"] = {"majority": majority, "minority": minority}
-    if matched:
+    if kind == "size_matched":
         report.provenance["match_seeds"] = match_seeds
         report.provenance["arms"] = {arm: list(pair) for arm, pair in arms.items()}
     return report

@@ -430,6 +430,28 @@ def subsample_indices_sorted(labels, fraction: float, seed) -> np.ndarray:
     return idx
 
 
+def match_group_indices_clamped(labels, maj_idx, min_idx, seed) -> np.ndarray:
+    """dataset._match_group_indices on valid groups, with each class's draw
+    size clamped to the records of that class."""
+    n_target = int(min_idx.size)
+    maj_labels = labels[maj_idx]
+    pos = maj_idx[maj_labels == 1]
+    neg = maj_idx[maj_labels == 0]
+    n_pos = int(round(n_target * pos.size / maj_idx.size))
+    n_pos = min(n_pos, pos.size)
+    n_neg = n_target - n_pos
+    if n_neg > neg.size:
+        n_neg = int(neg.size)
+        n_pos = n_target - n_neg
+    rng = np.random.default_rng(seed)
+    parts = []
+    if n_pos:
+        parts.append(rng.choice(pos, size=n_pos, replace=False))
+    if n_neg:
+        parts.append(rng.choice(neg, size=n_neg, replace=False))
+    return np.sort(np.concatenate(parts))
+
+
 def fit_platt_logaddexp(llrs, labels, tolerance=1e-8, max_iterations=100):
     """``(a, b, iterations, final_gradient_norm, converged, took_nan)`` of the
     Newton fit whose line search compares log-likelihoods summed from

@@ -34,6 +34,7 @@ from calaudit import (
     to_llr,
     wilcoxon_signed_rank,
 )
+from calaudit import harness
 from calaudit.cli import main
 from calaudit.platt import sigmoid
 from calaudit.synthetic import regularized_incomplete_beta
@@ -173,6 +174,55 @@ def test_c4_size_matched_audit_replication():
         ok,
         f"naive significant {naive_significant}/{n_executions}, "
         f"size-matched non-significant {matched_not_significant}/{n_executions}",
+    )
+
+
+def _wilson_lower_bound(successes: int, n: int, z: float = 1.959963984540054) -> float:
+    """The lower end of the Wilson 95% interval of a binomial proportion."""
+    p = successes / n
+    centre = p + z * z / (2 * n)
+    spread = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+    return (centre - spread) / (1 + z * z / n)
+
+
+@pytest.mark.slow
+def test_size_matched_arm_holds_its_level():
+    """The C4 null at K=400 executions, through run_size_matched_audit: both
+    groups calibrated, so only the binned metrics' naive arm may reject.
+
+    The seeds are fixed, so the counts are too; they read (naive,
+    size_matched) ece 400, 21; ada_ece 400, 27; delta_ce 23, 20;
+    delta_brier 23, 18.
+    """
+    metrics = ("ece", "ada_ece", "delta_ce", "delta_brier")
+    keys = [(m, a) for m in metrics for a in ("naive", "size_matched")]
+    n_executions = 400
+
+    def rejections(k, _):
+        runs = _two_group_audit_runs(
+            master_seed=20000 + k, n_runs=25, n_majority=1000, n_minority=50,
+            n_validation=2000,
+        )
+        config = AuditConfig(
+            metrics=metrics, majority="g_major", minority="g_minor", seed=ACCEPTANCE_SEED + k
+        )
+        tests = run_size_matched_audit(runs, config).tests
+        return [tests[m][a] is not None and tests[m][a].p_value < 0.05 for m, a in keys]
+
+    outcomes = harness._run_jobs(rejections, range(n_executions))
+    rejected = dict(zip(keys, np.sum(outcomes, axis=0).tolist()))
+    # the binned metrics' plug-in bias must show in the naive arm ...
+    artifacts = [("ece", "naive"), ("ada_ece", "naive")]
+    ok = all(rejected[key] >= 390 for key in artifacts) and all(
+        # ... and every other arm must hold its 5% level
+        _wilson_lower_bound(count, n_executions) <= 0.05
+        for key, count in rejected.items()
+        if key not in artifacts
+    )
+    _report(
+        "size-matched arm level at K=400",
+        ok,
+        ", ".join(f"{m} {a} {count}/{n_executions}" for (m, a), count in rejected.items()),
     )
 
 

@@ -538,6 +538,36 @@ class TestSubsample:
         assert ada_ece(t.scores, t.labels, 15) == ada_ece(s.scores, s.labels, 15)
 
 
+@st.composite
+def _match_inputs(draw):
+    """A majority of 1 to 300 records with any number of positives (none and
+    all included), a minority of 1 record up to the majority's size, the two
+    groups' records interleaved at random, and a draw seed."""
+    n_majority = draw(st.integers(1, 300))
+    n_minority = draw(st.integers(1, n_majority))
+    n_positive = draw(st.integers(0, n_majority))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    in_majority = rng.permutation(np.arange(n_majority + n_minority) < n_majority)
+    labels = rng.integers(0, 2, in_majority.size)
+    labels[in_majority] = rng.permutation(np.arange(n_majority) < n_positive)
+    groups = np.where(in_majority, "big", "small")
+    s = make_scoreset(rng.random(labels.size), labels, groups)
+    return s, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(database=None, deadline=None)
+@given(_match_inputs())
+@example((make_scoreset([0.5] * 3, [1, 1, 0], ["big", "small", "big"]), 0))
+@example((make_scoreset([0.5] * 3, [1, 0, 1], ["big", "small", "big"]), 0))  # one class
+@example((make_scoreset([0.5] * 2, [0, 1], ["big", "small"]), 0))  # the whole majority
+def test_match_indices_equal_the_clamped_draw(data):
+    s, seed = data
+    maj_idx, min_idx = (np.flatnonzero(s.groups == t) for t in ("big", "small"))
+    got = match_indices(s, "big", "small", seed)
+    want = oracles.match_group_indices_clamped(s.labels, maj_idx, min_idx, seed)
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
 class TestMatchGroupSize:
     def test_matches_minority_count(self):
         rng = np.random.default_rng(0)

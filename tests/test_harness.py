@@ -129,6 +129,30 @@ class TestAuditConfig:
         with pytest.raises(ValueError, match="majority and minority.*'a'"):
             AuditConfig(majority="a", minority="a")
 
+    # an int tag never equals a str tag of the test records: the audit would
+    # find neither group and record every value missing
+    @pytest.mark.parametrize("tags", [(1, 2), ("1", 2), (b"a", "b"), (None, 2)])
+    def test_group_tags_must_be_strings(self, tags):
+        with pytest.raises(ValueError, match="must be a str group tag, got"):
+            AuditConfig(majority=tags[0], minority=tags[1])
+
+    def test_numpy_string_tags_accepted(self):
+        cfg = AuditConfig(majority=np.str_("a"), minority="b")
+        assert (cfg.majority, cfg.minority) == ("a", "b")
+
+    @pytest.mark.parametrize(
+        "ratios", [(0.5, True), ("0.5", 1.0), (np.bool_(True), 1.0), (0.5, None)]
+    )
+    def test_ratios_refuse_bools_and_non_reals(self, ratios):
+        with pytest.raises(ValueError, match="ratios must be a real number, got"):
+            AuditConfig(ratios=ratios)
+
+    def test_numpy_float_ratios_stored_as_python_floats(self):
+        ratios = (np.float32(0.25), np.float32(0.5), np.float64(1.0))
+        cfg = AuditConfig(ratios=ratios)
+        assert [type(r) for r in cfg.ratios] == [float] * 3
+        assert cfg.ratios == tuple(float(r) for r in ratios)
+
     @pytest.mark.parametrize(
         "ratios", [(0.1, 0.5, 0.5), (0.5, 0.5), (0.1, 0.1000001, 1.0)]
     )
